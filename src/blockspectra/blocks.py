@@ -114,20 +114,6 @@ def is_block_graph(g: Graph) -> bool:
     return True
 
 
-def block_graph_vertex_connectivity(g: Graph) -> int:
-    """Vertex connectivity of a connected block graph.
-
-    A block graph either has an articulation point (connectivity 1) or is a
-    single clique (connectivity n-1).
-    """
-    if not is_block_graph(g):
-        raise ValueError("vertex connectivity implemented for block graphs only")
-    dec = block_decomposition(g)
-    if dec.articulation_points:
-        return 1
-    return g.n - 1
-
-
 def block_path_shape(g: Graph) -> tuple[int, int] | None:
     """Recognize a chain of equal-size cliques.
 

@@ -16,9 +16,8 @@ import sys
 import click
 
 from . import __version__
-from .blocks import block_decomposition, is_block_graph
+from .blocks import is_block_graph
 from .fileio import format_dot, format_edge_list, parse_edge_list
-from .graph import is_connected
 from .generators import (
     block_path,
     block_starlike,
@@ -27,7 +26,7 @@ from .generators import (
     path_graph,
     star_graph,
 )
-from .linalg import ConvergenceError
+from .linalg import JACOBI_OFF_REL_TOL, ConvergenceError
 from .spectral import (
     ClassificationError,
     classify_perron,
@@ -173,10 +172,8 @@ def gen_broom(handle, bristles, fmt, out):
 
 @cli.command()
 @click.argument("input", default="-")
-@click.option("--eig-tol", type=float, default=1e-12, show_default=True,
-              help="Relative off-diagonal target for the eigensolver.")
 @click.option("--out", default=None, help="Write JSON to a file instead of stdout.")
-def spectrum(input, eig_tol, out):
+def spectrum(input, out):
     """Eigenvalues, multiplicity, and Fiedler basis of a graph file."""
     g = _read_graph(input)
     summary = spectral_summary(g)
@@ -192,7 +189,8 @@ def spectrum(input, eig_tol, out):
             for j in range(summary.fiedler_basis.shape[1])
         ],
     }
-    _emit(_envelope(f"graph from {input}", {"eig_tol": eig_tol}, "spectrum", payload), out)
+    tolerances = {"eig_tol": JACOBI_OFF_REL_TOL}
+    _emit(_envelope(f"graph from {input}", tolerances, "spectrum", payload), out)
 
 
 @cli.command()
@@ -207,12 +205,9 @@ def spectrum(input, eig_tol, out):
 def classify(input, method, zero_tol, tie_tol, out):
     """Case A/B classification of a connected block graph with a cut vertex."""
     g = _read_graph(input)
-    if not is_connected(g):
-        raise ValueError("classification requires a connected graph")
+    # the library rejects a disconnected graph or one without a cut vertex
     if not is_block_graph(g):
         raise ValueError("classification requires a block graph (every block a clique)")
-    if not block_decomposition(g).articulation_points:
-        raise ValueError("graph has no articulation point; case analysis needs a cut vertex")
     payload: dict = {}
     perron_verdict = None
     structural_verdicts = []
@@ -243,7 +238,8 @@ def classify(input, method, zero_tol, tie_tol, out):
         summary = spectral_summary(g)
         per_vector = []
         for j in range(summary.fiedler_basis.shape[1]):
-            result = classify_structural(g, summary.fiedler_basis[:, j], zero_tol=zero_tol)
+            result = classify_structural(g, summary.fiedler_basis[:, j], summary.lambda2,
+                                         zero_tol=zero_tol)
             structural_verdicts.append((result.verdict, result.zero_vertex))
             per_vector.append({
                 "vector": j,

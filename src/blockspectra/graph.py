@@ -59,12 +59,6 @@ class TwinPartition:
 
     classes: tuple[tuple[int, ...], ...]
 
-    def class_of(self, v: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise KeyError(v)
-
 
 def build_graph(n: int, edges, weights=None) -> Graph:
     """Validate and normalize a graph description.
@@ -122,27 +116,6 @@ def _bfs_distances(g: Graph, source: int) -> dict[int, int]:
 
 def is_connected(g: Graph) -> bool:
     return len(_bfs_distances(g, 1)) == g.n
-
-
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Components of g, each sorted, ordered by smallest contained vertex."""
-    seen: set[int] = set()
-    comps = []
-    for s in g.vertices():
-        if s in seen:
-            continue
-        reached = _bfs_distances(g, s)
-        seen |= reached.keys()
-        comps.append(tuple(sorted(reached)))
-    return comps
-
-
-def distance(g: Graph, u: int, v: int) -> int:
-    """Hop count of a shortest u-v path; weights are ignored."""
-    dist = _bfs_distances(g, u)
-    if v not in dist:
-        raise ValueError(f"vertices {u} and {v} are not connected")
-    return dist[v]
 
 
 def eccentricities(g: Graph) -> dict[int, int]:

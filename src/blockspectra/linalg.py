@@ -70,14 +70,13 @@ def principal_submatrix(m: np.ndarray, vertices) -> np.ndarray:
 def eig_sym(
     m: np.ndarray,
     *,
-    off_rel_tol: float = JACOBI_OFF_REL_TOL,
     max_sweeps: int = JACOBI_MAX_SWEEPS,
 ) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
 
     Sweeps row-cyclically over the strict upper triangle, rotating away each
     off-diagonal entry, until the off-diagonal Frobenius mass drops below
-    off_rel_tol times the Frobenius norm of the input.  Raises
+    JACOBI_OFF_REL_TOL times the Frobenius norm of the input.  Raises
     ConvergenceError if max_sweeps sweeps do not get there.
     """
     a = np.array(m, dtype=float)
@@ -91,7 +90,7 @@ def eig_sym(
         return EigenDecomposition(values=a.diagonal().copy(), vectors=vecs)
 
     norm = float(np.linalg.norm(a))
-    off_target = off_rel_tol * norm
+    off_target = JACOBI_OFF_REL_TOL * norm
     off_diagonal = ~np.eye(n, dtype=bool)
     sweeps = 0
     while True:
@@ -171,14 +170,6 @@ def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def spd_solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve m x = b for symmetric positive definite m."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m.shape[0],):
-        raise ValueError(f"right-hand side shape {b.shape} does not match {m.shape}")
-    return cholesky_solve(cholesky_factor(m), b)
-
-
 def perron_of_inverse(
     m: np.ndarray,
     *,
@@ -190,8 +181,9 @@ def perron_of_inverse(
     Power iteration applies m^{-1} through a Cholesky solve each step, starting
     from the all-ones vector (inside the positive cone, so the iteration
     converges to the Perron pair).  Convergence is declared when successive
-    Rayleigh quotients differ by less than rq_tol.  The returned vector is
-    normalized to sum 1.
+    Rayleigh quotients differ by at most rq_tol times the latest one: Perron
+    values grow with the component, so an absolute threshold would fall below
+    one ulp on large components.  The returned vector is normalized to sum 1.
     """
     n = m.shape[0]
     lower = cholesky_factor(m)
@@ -201,7 +193,7 @@ def perron_of_inverse(
         y = cholesky_solve(lower, x)
         rq = float(x @ y)
         x = y / np.linalg.norm(y)
-        if abs(rq - value) < rq_tol:
+        if abs(rq - value) <= rq_tol * rq:
             value = rq
             break
         value = rq

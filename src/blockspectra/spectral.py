@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_decomposition
+from .blocks import BlockDecomposition, block_decomposition
 from .graph import Graph, delete_vertex_components, is_connected
 from .linalg import (
     eig_sym,
@@ -68,9 +68,6 @@ class VertexPerronData:
 class PerronReport:
     by_vertex: dict[int, VertexPerronData]
 
-    def articulation_points(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_vertex))
-
 
 @dataclass(frozen=True)
 class CaseClassification:
@@ -88,12 +85,12 @@ class TreeType:
     characteristic_edge: tuple[int, int] | None = None  # kind 2, (u, w) with y_u > 0 > y_w
 
 
-def spectral_summary(g: Graph, *, mult_rel_tol: float = MULTIPLICITY_REL_TOL) -> SpectralSummary:
+def spectral_summary(g: Graph) -> SpectralSummary:
     """Second-smallest Laplacian eigenvalue with its eigenspace basis.
 
-    Multiplicity counts eigenvalues within mult_rel_tol (relative) of the
-    second-smallest one.  A disconnected graph is flagged (lambda2 ~ 0) rather
-    than rejected.
+    Multiplicity counts eigenvalues within MULTIPLICITY_REL_TOL (relative) of
+    the second-smallest one.  A disconnected graph is flagged (lambda2 ~ 0)
+    rather than rejected.
     """
     if g.n == 1:
         return SpectralSummary(
@@ -105,7 +102,7 @@ def spectral_summary(g: Graph, *, mult_rel_tol: float = MULTIPLICITY_REL_TOL) ->
     lam2 = float(spectrum[1])
     scale = max(float(spectrum[-1]), 1.0)
     connected = lam2 > 1e-8 * scale
-    tol = mult_rel_tol * max(abs(lam2), 1e-12 * scale)
+    tol = MULTIPLICITY_REL_TOL * max(abs(lam2), 1e-12 * scale)
     members = [i for i in range(1, g.n) if abs(float(spectrum[i]) - lam2) <= tol]
     return SpectralSummary(
         lambda2=lam2,
@@ -153,16 +150,12 @@ def classify_perron(
     numerical pathology and raise ClassificationError rather than being
     silently resolved.
     """
-    if not is_connected(g):
-        raise ValueError("classification requires a connected graph")
+    dec = _cut_vertex_blocks(g)
     lap = laplacian(g)
-    by_vertex: dict[int, VertexPerronData] = {}
-    for v in g.vertices():
-        if len(delete_vertex_components(g, v)) < 2:
-            continue
-        by_vertex[v] = vertex_perron_data(g, lap, v, tie_rel_tol=tie_rel_tol)
-    if not by_vertex:
-        raise ValueError("graph has no articulation point; case analysis needs a cut vertex")
+    by_vertex = {
+        v: vertex_perron_data(g, lap, v, tie_rel_tol=tie_rel_tol)
+        for v in dec.articulation_points
+    }
     report = PerronReport(by_vertex=by_vertex)
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
     if len(tied) > 1:
@@ -185,6 +178,17 @@ def classify_perron(
     return classification, report
 
 
+def _cut_vertex_blocks(g: Graph) -> BlockDecomposition:
+    """Block decomposition of g, checking the precondition both classifiers
+    share: g is connected and has at least one cut vertex."""
+    if not is_connected(g):
+        raise ValueError("classification requires a connected graph")
+    dec = block_decomposition(g)
+    if not dec.articulation_points:
+        raise ValueError("graph has no articulation point; case analysis needs a cut vertex")
+    return dec
+
+
 def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
     threshold = zero_tol * float(np.abs(y).max())
     signs = np.zeros(len(y), dtype=int)
@@ -196,29 +200,28 @@ def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
 def classify_structural(
     g: Graph,
     y: np.ndarray,
+    lambda2: float,
     *,
     zero_tol: float = ZERO_REL_TOL,
-    resid_rel_tol: float = RESIDUAL_REL_TOL,
 ) -> CaseClassification:
     """Case A/B decision from the sign pattern of an explicit Fiedler vector.
 
-    The vector is first verified to be a lambda2 eigenvector (relative
-    residual <= resid_rel_tol).  Entries within zero_tol * max|y| of zero
-    count as zero.  Raises ClassificationError when the sign pattern fits
-    neither case, which signals a tolerance misconfiguration rather than a
-    property of the graph.
+    lambda2 is the graph's algebraic connectivity, as the caller's
+    `spectral_summary` found it.  The vector is first verified to be a lambda2
+    eigenvector (relative residual <= RESIDUAL_REL_TOL).  Entries within
+    zero_tol * max|y| of zero count as zero.  Raises ClassificationError when
+    the sign pattern fits neither case, which signals a tolerance
+    misconfiguration rather than a property of the graph.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise ValueError(f"vector has shape {y.shape}, expected ({g.n},)")
-    lap = laplacian(g)
-    lam2 = float(eig_sym(lap).values[1])
-    residual = float(np.linalg.norm(lap @ y - lam2 * y))
-    if residual > resid_rel_tol * max(float(np.linalg.norm(y)), 1e-300):
+    dec = _cut_vertex_blocks(g)
+    residual = float(np.linalg.norm(laplacian(g) @ y - lambda2 * y))
+    if residual > RESIDUAL_REL_TOL * max(float(np.linalg.norm(y)), 1e-300):
         raise ValueError(
             f"vector is not a lambda2 eigenvector (residual {residual:.3e})"
         )
-    dec = block_decomposition(g)
     signs = _sign_pattern(y, zero_tol)
 
     mixed = [
@@ -323,7 +326,6 @@ def perron_fiedler_basis(
     z: int,
     *,
     tie_rel_tol: float = TIE_REL_TOL,
-    resid_rel_tol: float = RESIDUAL_REL_TOL,
 ) -> list[np.ndarray]:
     """Eigenspace basis built from the Perron vectors of the tied components
     at the case-B vertex z.
@@ -344,7 +346,7 @@ def perron_fiedler_basis(
     ]
     lam2 = 1.0 / data.values[data.maximizers[0]]
     lam2_eig = float(eig_sym(lap).values[1])
-    if abs(lam2 - lam2_eig) > resid_rel_tol * max(lam2_eig, 1e-300):
+    if abs(lam2 - lam2_eig) > RESIDUAL_REL_TOL * max(lam2_eig, 1e-300):
         raise ClassificationError(
             f"reciprocal Perron value {lam2!r} disagrees with eigensolver {lam2_eig!r}"
         )
@@ -355,7 +357,7 @@ def perron_fiedler_basis(
         vec[[v - 1 for v in first]] = perron_vectors[0]
         vec[[v - 1 for v in comps[i]]] = -perron_vectors[i]
         residual = float(np.linalg.norm(lap @ vec - lam2 * vec))
-        if residual > resid_rel_tol * float(np.linalg.norm(vec)):
+        if residual > RESIDUAL_REL_TOL * float(np.linalg.norm(vec)):
             raise ClassificationError(
                 f"constructed basis vector {i} fails the eigen equation "
                 f"(residual {residual:.3e})"

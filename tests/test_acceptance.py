@@ -189,7 +189,7 @@ def test_c08_dual_classifier_agreement():
         perron_result, _ = classify_perron(g)
         summary = spectral_summary(g)
         for j in range(summary.fiedler_basis.shape[1]):
-            structural = classify_structural(g, summary.fiedler_basis[:, j])
+            structural = classify_structural(g, summary.fiedler_basis[:, j], summary.lambda2)
             if (structural.verdict, structural.zero_vertex) != (
                 perron_result.verdict, perron_result.zero_vertex
             ):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from blockspectra import (
     block_decomposition,
-    block_graph_vertex_connectivity,
     block_path,
     block_starlike,
     build_graph,
@@ -13,7 +12,6 @@ from blockspectra import (
     coalesce,
     complete_graph,
     delete_vertex_components,
-    distance,
     induced_subgraph,
     is_block_graph,
     is_connected,
@@ -196,17 +194,6 @@ class TestTrueTwins:
 
 
 class TestMetric:
-    def test_path_distance(self):
-        assert distance(path_graph(3), 1, 3) == 2
-
-    def test_clique_distance(self):
-        assert distance(complete_graph(4), 1, 3) == 1
-
-    def test_chain_end_to_end(self):
-        g = block_path(4, 3)
-        assert distance(g, 1, 13) == 4
-        assert distance(g, 1, 13) == nx.shortest_path_length(to_networkx(g), 1, 13)
-
     def test_center_of_path(self):
         assert center(path_graph(3)) == (2,)
 
@@ -270,26 +257,6 @@ class TestCoalesce:
         assert merged.m == g.m + h.m
         assert merged.degree(u) == g.degree(u) + h.degree(w)
         assert is_connected(merged)
-
-
-class TestVertexConnectivity:
-    def test_single_clique(self):
-        assert block_graph_vertex_connectivity(complete_graph(4)) == 3
-
-    def test_chain(self):
-        assert block_graph_vertex_connectivity(block_path(4, 3)) == 1
-
-    def test_path(self):
-        assert block_graph_vertex_connectivity(path_graph(5)) == 1
-
-    def test_single_vertex(self):
-        assert block_graph_vertex_connectivity(build_graph(1, [])) == 0
-
-    def test_non_block_graph_rejected(self):
-        with pytest.raises(ValueError, match="block graph"):
-            block_graph_vertex_connectivity(
-                build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-            )
 
 
 class TestInducedSubgraph:

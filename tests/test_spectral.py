@@ -6,15 +6,17 @@ import pytest
 
 from blockspectra import (
     ClassificationError,
-    block_graph_vertex_connectivity,
+    block_decomposition,
     block_path,
     block_starlike,
     broom_tree,
     build_graph,
+    center_label,
     classify_perron,
     classify_structural,
     complete_graph,
     delete_vertex_components,
+    format_edge_list,
     laplacian,
     path_graph,
     perron_fiedler_basis,
@@ -22,6 +24,8 @@ from blockspectra import (
     star_graph,
     tree_type,
 )
+from blockspectra import spectral
+from blockspectra.cli import main
 
 
 class TestSpectralSummary:
@@ -112,14 +116,14 @@ class TestClassifyPerron:
 class TestClassifyStructural:
     def test_short_path_by_symmetry(self):
         y = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
-        c = classify_structural(path_graph(3), y)
+        c = classify_structural(path_graph(3), y, 1.0)
         assert c.verdict == "B"
         assert c.zero_vertex == 2
 
     def test_even_chain_mixed_middle_block(self):
         g = block_path(4, 2)
         s = spectral_summary(g)
-        c = classify_structural(g, s.fiedler_basis[:, 0])
+        c = classify_structural(g, s.fiedler_basis[:, 0], s.lambda2)
         assert c.verdict == "A"
         assert c.mixed_block == (4, 5, 6, 7)
 
@@ -127,7 +131,7 @@ class TestClassifyStructural:
         g = block_path(4, 3)
         s = spectral_summary(g)
         for j in range(s.fiedler_basis.shape[1]):
-            c = classify_structural(g, s.fiedler_basis[:, j])
+            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
             assert c.verdict == "B"
             assert c.zero_vertex == 7
 
@@ -135,24 +139,24 @@ class TestClassifyStructural:
         g = block_starlike(3, 4, [1, 1, 1])
         s = spectral_summary(g)
         for j in range(s.fiedler_basis.shape[1]):
-            c = classify_structural(g, s.fiedler_basis[:, j])
+            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
             assert c.verdict == "B"
             assert c.zero_vertex == 1
 
     def test_non_eigenvector_rejected(self):
         with pytest.raises(ValueError, match="eigenvector"):
-            classify_structural(path_graph(3), np.array([1.0, 1.0, 1.0]))
+            classify_structural(path_graph(3), np.array([1.0, 1.0, 1.0]), 1.0)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            classify_structural(path_graph(3), np.ones(4))
+            classify_structural(path_graph(3), np.ones(4), 1.0)
 
     def test_pathological_zero_tolerance_raises(self):
         # a threshold above max|y| blanks the vector: neither case matches
         g = block_path(4, 3)
-        y = spectral_summary(g).fiedler_basis[:, 0]
+        s = spectral_summary(g)
         with pytest.raises(ClassificationError):
-            classify_structural(g, y, zero_tol=10.0)
+            classify_structural(g, s.fiedler_basis[:, 0], s.lambda2, zero_tol=10.0)
 
     @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 4), (5, 3)])
     def test_agrees_with_perron_route(self, k, p):
@@ -160,7 +164,7 @@ class TestClassifyStructural:
         perron_c, _ = classify_perron(g)
         s = spectral_summary(g)
         for j in range(s.fiedler_basis.shape[1]):
-            structural_c = classify_structural(g, s.fiedler_basis[:, j])
+            structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
             assert structural_c.verdict == perron_c.verdict
             assert structural_c.zero_vertex == perron_c.zero_vertex
 
@@ -244,7 +248,7 @@ class TestClassifierAgreementGrid:
             perron_c, _ = classify_perron(g)
             s = spectral_summary(g)
             for j in range(s.fiedler_basis.shape[1]):
-                structural_c = classify_structural(g, s.fiedler_basis[:, j])
+                structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
                 assert structural_c.verdict == perron_c.verdict, (r, k, arms, j)
                 assert structural_c.zero_vertex == perron_c.zero_vertex, (r, k, arms, j)
 
@@ -255,7 +259,9 @@ class TestSpectralBounds:
         block_starlike(3, 3, [2, 1, 1]), star_graph(5),
     ])
     def test_lambda2_at_most_vertex_connectivity(self, g):
-        assert spectral_summary(g).lambda2 <= block_graph_vertex_connectivity(g) + 1e-10
+        # a cut vertex makes the vertex connectivity exactly 1
+        assert block_decomposition(g).articulation_points
+        assert spectral_summary(g).lambda2 <= 1.0 + 1e-10
 
     def test_multiplicity_matches_perron_count(self):
         for g in (block_path(3, 3), block_starlike(4, 3, [1, 1, 1, 1]), star_graph(3)):
@@ -263,3 +269,64 @@ class TestSpectralBounds:
             assert c.verdict == "B"
             s = spectral_summary(g)
             assert s.multiplicity == len(c.perron_components) - 1
+
+
+def _assert_routes_agree_on(g, expected):
+    perron_c, _ = classify_perron(g)
+    assert (perron_c.verdict, perron_c.zero_vertex) == expected
+    s = spectral_summary(g)
+    for j in range(s.fiedler_basis.shape[1]):
+        structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+        assert (structural_c.verdict, structural_c.zero_vertex) == expected
+
+
+class TestLargePerronValues:
+    """Perron values grow with the component (and with 1/weight), so the
+    power iteration must stop on a relative change in the Rayleigh quotient;
+    an absolute threshold falls below one ulp and runs to the iteration cap."""
+
+    @pytest.mark.parametrize("k,p", [(2, 40), (3, 40), (4, 31), (6, 39)])
+    def test_parity_verdict_and_center(self, k, p):
+        expected = ("B", center_label(k, p)) if p % 2 else ("A", None)
+        _assert_routes_agree_on(block_path(k, p), expected)
+
+    def test_small_weights(self):
+        g = block_path(4, 3)
+        light = build_graph(g.n, g.edges, {e: 1e-3 for e in g.edges})
+        _assert_routes_agree_on(light, ("B", 7))
+
+
+class TestRouteIsolation:
+    """One eigendecomposition per request; the Perron route never calls the
+    eigensolver and the structural route never computes Perron values."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"eig_sym": 0, "perron_of_inverse": 0}
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(spectral, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        return counts
+
+    def test_classify_both_runs_one_eigendecomposition(self, calls, tmp_path, capsys):
+        path = tmp_path / "starlike.edges"
+        path.write_text(format_edge_list(block_starlike(3, 4, [1, 1, 1])))
+        assert main(["classify", str(path), "--method", "both"]) == 0
+        capsys.readouterr()
+        assert calls["eig_sym"] == 1
+        assert calls["perron_of_inverse"] > 0
+
+    def test_perron_route_never_calls_eigensolver(self, calls):
+        classify_perron(block_starlike(3, 4, [1, 1, 1]))
+        assert calls["eig_sym"] == 0
+        assert calls["perron_of_inverse"] > 0
+
+    def test_structural_route_never_computes_perron_values(self, calls):
+        g = block_starlike(3, 4, [1, 1, 1])
+        s = spectral_summary(g)
+        for j in range(s.multiplicity):
+            classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+        assert calls["perron_of_inverse"] == 0
+        assert calls["eig_sym"] == 1
