@@ -8,48 +8,53 @@ neighbor lists are walked in ascending label order.
 
 from dataclasses import dataclass
 
-from .graph import (
-    Graph,
-    delete_vertex_components,
-    induced_subgraph,
-    is_connected,
-)
+from .graph import Graph
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Blocks, articulation points, and their bipartite incidence.
 
-    `tree_edges` lists (block_index, articulation_vertex) pairs; block indices
-    refer to positions in `blocks`.  For a connected graph this incidence
-    structure is the block-cut tree.
+    Block indices refer to positions in `blocks`.  The incidence between
+    blocks and articulation points is the block-cut tree, indexed both ways
+    (`blocks_containing`, `articulations_in_block`).  `all_cliques` is True
+    iff every block induces a clique.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     articulation_points: tuple[int, ...]
-    tree_edges: tuple[tuple[int, int], ...]
+    all_cliques: bool
+    _blocks_of: tuple[tuple[int, ...], ...]  # entry v - 1: blocks holding vertex v
+    _arts_of: tuple[tuple[int, ...], ...]    # entry i: articulation points of block i
+
+    @property
+    def tree_edges(self) -> tuple[tuple[int, int], ...]:
+        """(block_index, articulation_vertex) pairs of the block-cut tree."""
+        return tuple((i, a) for i, arts in enumerate(self._arts_of) for a in arts)
 
     def blocks_containing(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
+        return self._blocks_of[v - 1] if 1 <= v <= len(self._blocks_of) else ()
 
     def articulations_in_block(self, i: int) -> tuple[int, ...]:
-        return tuple(a for b, a in self.tree_edges if b == i)
+        return self._arts_of[i]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components and articulation points of a connected graph."""
-    if not is_connected(g):
-        raise ValueError("block decomposition requires a connected graph")
     if g.n == 1:
-        return BlockDecomposition(blocks=((1,),), articulation_points=(), tree_edges=())
+        return BlockDecomposition(
+            blocks=((1,),), articulation_points=(), all_cliques=True,
+            _blocks_of=((0,),), _arts_of=((),),
+        )
 
     disc = [0] * (g.n + 1)
     low = [0] * (g.n + 1)
     parent = [0] * (g.n + 1)
     nbr_iter = [None] * (g.n + 1)
     edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[set[int]] = []
+    raw_blocks: list[tuple[int, ...]] = []
     articulation: set[int] = set()
+    all_cliques = True
 
     root = 1
     root_children = 0
@@ -70,12 +75,18 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 if u != root:
                     articulation.add(u)
                 members: set[int] = set()
+                edges = 0
                 while True:
                     e = edge_stack.pop()
                     members.update(e)
+                    edges += 1
                     if e == (u, v):
                         break
-                raw_blocks.append(members)
+                # every edge is stacked exactly once, so the popped edges are
+                # all the edges of the block
+                s = len(members)
+                all_cliques = all_cliques and 2 * edges == s * (s - 1)
+                raw_blocks.append(tuple(sorted(members)))
             continue
         if w == parent[v]:
             continue
@@ -92,26 +103,39 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             # back edge to an ancestor
             edge_stack.append((v, w))
             low[v] = min(low[v], disc[w])
+    if timer < g.n:
+        raise ValueError("block decomposition requires a connected graph")
     if root_children >= 2:
         articulation.add(root)
 
-    blocks = tuple(sorted(tuple(sorted(b)) for b in raw_blocks))
-    arts = tuple(sorted(articulation))
-    tree_edges = tuple(
-        (i, a) for i, b in enumerate(blocks) for a in arts if a in b
+    blocks = tuple(sorted(raw_blocks))
+    blocks_of: list[list[int]] = [[] for _ in range(g.n)]
+    arts_of: list[tuple[int, ...]] = []
+    for i, block in enumerate(blocks):
+        for v in block:
+            blocks_of[v - 1].append(i)
+        arts_of.append(tuple(v for v in block if v in articulation))
+    return BlockDecomposition(
+        blocks=blocks,
+        articulation_points=tuple(sorted(articulation)),
+        all_cliques=all_cliques,
+        _blocks_of=tuple(map(tuple, blocks_of)),
+        _arts_of=tuple(arts_of),
     )
-    return BlockDecomposition(blocks=blocks, articulation_points=arts, tree_edges=tree_edges)
 
 
 def is_block_graph(g: Graph) -> bool:
     """True iff every block of the connected graph g induces a clique."""
-    dec = block_decomposition(g)
-    for block in dec.blocks:
-        for i, u in enumerate(block):
-            for v in block[i + 1:]:
-                if not g.has_edge(u, v):
-                    return False
-    return True
+    return block_decomposition(g).all_cliques
+
+
+def _uniform_clique_size(dec: BlockDecomposition) -> int | None:
+    """The common size k >= 2 of the blocks when all are cliques, else None."""
+    sizes = {len(b) for b in dec.blocks}
+    if not dec.all_cliques or len(sizes) != 1:
+        return None
+    k = sizes.pop()
+    return k if k >= 2 else None
 
 
 def block_path_shape(g: Graph) -> tuple[int, int] | None:
@@ -121,26 +145,16 @@ def block_path_shape(g: Graph) -> tuple[int, int] | None:
     size k >= 2 arranged in a path (consecutive cliques sharing one vertex),
     else None.  A single clique yields (k, 0).
     """
-    if not is_block_graph(g):
-        return None
     dec = block_decomposition(g)
-    sizes = {len(b) for b in dec.blocks}
-    if len(sizes) != 1:
+    k = _uniform_clique_size(dec)
+    if k is None:
         return None
-    k = sizes.pop()
-    if k < 2:
-        return None
-    arts = dec.articulation_points
-    if len(dec.blocks) != len(arts) + 1:
-        return None
-    for a in arts:
-        if len(dec.blocks_containing(a)) != 2:
-            return None
-    for i in range(len(dec.blocks)):
-        if len(dec.articulations_in_block(i)) > 2:
-            return None
     # the block-cut tree is a tree; degree <= 2 everywhere makes it a path
-    return (k, len(arts))
+    if any(len(dec.blocks_containing(a)) != 2 for a in dec.articulation_points):
+        return None
+    if any(len(dec.articulations_in_block(i)) > 2 for i in range(len(dec.blocks))):
+        return None
+    return (k, len(dec.articulation_points))
 
 
 @dataclass(frozen=True)
@@ -160,31 +174,27 @@ def starlike_profile(g: Graph) -> StarlikeProfile | None:
     chain in which the hub is a non-articulation vertex of a terminal clique.
     Returns None when the shape does not match.
     """
-    if not is_block_graph(g):
-        return None
     dec = block_decomposition(g)
-    sizes = {len(b) for b in dec.blocks}
-    if len(sizes) != 1:
+    k = _uniform_clique_size(dec)
+    if k is None:
         return None
-    k = sizes.pop()
-    if k < 2:
-        return None
-    hubs = [v for v in g.vertices() if len(dec.blocks_containing(v)) >= 3]
+    hubs = [a for a in dec.articulation_points if len(dec.blocks_containing(a)) >= 3]
     if len(hubs) != 1:
         return None
     hub = hubs[0]
     arms = []
-    for comp in delete_vertex_components(g, hub):
-        sub, relabel = induced_subgraph(g, list(comp) + [hub])
-        shape = block_path_shape(sub)
-        if shape is None or shape[0] != k:
-            return None
-        sub_dec = block_decomposition(sub)
-        hub_new = relabel[hub]
-        if hub_new in sub_dec.articulation_points:
-            return None
-        (block_idx,) = sub_dec.blocks_containing(hub_new)
-        if len(sub_dec.articulations_in_block(block_idx)) > 1:
-            return None  # hub sits in an interior clique, not a terminal one
-        arms.append(shape[1])
+    for block in dec.blocks_containing(hub):
+        # walk the arm's chain of blocks away from the hub; every articulation
+        # point but the hub lies in exactly two blocks, so each step is forced
+        entry, length = hub, 0
+        while True:
+            exits = [a for a in dec.articulations_in_block(block) if a != entry]
+            if not exits:
+                break
+            if len(exits) > 1:
+                return None  # the chain branches, or the hub's clique is interior
+            (entry,) = exits
+            (block,) = (b for b in dec.blocks_containing(entry) if b != block)
+            length += 1
+        arms.append(length)
     return StarlikeProfile(hub=hub, clique_size=k, arms=tuple(sorted(arms, reverse=True)))

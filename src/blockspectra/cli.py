@@ -28,6 +28,8 @@ from .generators import (
 )
 from .linalg import JACOBI_OFF_REL_TOL, ConvergenceError
 from .spectral import (
+    TIE_REL_TOL,
+    ZERO_REL_TOL,
     ClassificationError,
     classify_perron,
     classify_structural,
@@ -197,9 +199,9 @@ def spectrum(input, out):
 @click.argument("input", default="-")
 @click.option("--method", type=click.Choice(["structural", "perron", "both"]),
               default="both", show_default=True)
-@click.option("--zero-tol", type=float, default=1e-7, show_default=True,
+@click.option("--zero-tol", type=float, default=ZERO_REL_TOL, show_default=True,
               help="Relative threshold below which an entry counts as zero.")
-@click.option("--tie-tol", type=float, default=1e-9, show_default=True,
+@click.option("--tie-tol", type=float, default=TIE_REL_TOL, show_default=True,
               help="Relative tolerance for tied Perron values.")
 @click.option("--out", default=None, help="Write JSON to a file instead of stdout.")
 def classify(input, method, zero_tol, tie_tol, out):

@@ -162,28 +162,6 @@ def true_twin_partition(g: Graph) -> TwinPartition:
     return TwinPartition(classes=tuple(classes))
 
 
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by `vertices`, relabeled 1..|vertices| in ascending
-    order of the original labels.  Returns the subgraph and the old-to-new
-    label mapping."""
-    keep = sorted(set(vertices))
-    if not keep:
-        raise ValueError("empty vertex set")
-    for v in keep:
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    relabel = {old: new for new, old in enumerate(keep, start=1)}
-    kept = set(keep)
-    edges = []
-    weights = {}
-    for (u, v), w in zip(g.edges, g.weights):
-        if u in kept and v in kept:
-            e = (relabel[u], relabel[v])
-            edges.append(e)
-            weights[e] = w
-    return build_graph(len(keep), edges, weights), relabel
-
-
 def coalesce(g: Graph, u: int, h: Graph, w: int) -> Graph:
     """Disjoint union of g and h with vertex u of g identified with vertex w
     of h.  Labels of g are preserved; the remaining vertices of h become

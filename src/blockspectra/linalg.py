@@ -67,17 +67,13 @@ def principal_submatrix(m: np.ndarray, vertices) -> np.ndarray:
     return m[np.ix_(sel, sel)].copy()
 
 
-def eig_sym(
-    m: np.ndarray,
-    *,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> EigenDecomposition:
+def eig_sym(m: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
 
     Sweeps row-cyclically over the strict upper triangle, rotating away each
     off-diagonal entry, until the off-diagonal Frobenius mass drops below
     JACOBI_OFF_REL_TOL times the Frobenius norm of the input.  Raises
-    ConvergenceError if max_sweeps sweeps do not get there.
+    ConvergenceError if JACOBI_MAX_SWEEPS sweeps do not get there.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -99,9 +95,9 @@ def eig_sym(
         off = float(np.linalg.norm(a[off_diagonal]))
         if off <= off_target:
             break
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
-                f"jacobi sweep limit {max_sweeps} reached (off-diagonal mass {off:.3e})"
+                f"jacobi sweep limit {JACOBI_MAX_SWEEPS} reached (off-diagonal mass {off:.3e})"
             )
         sweeps += 1
         for p in range(n - 1):
@@ -170,36 +166,32 @@ def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def perron_of_inverse(
-    m: np.ndarray,
-    *,
-    rq_tol: float = POWER_RQ_TOL,
-    max_iter: int = POWER_MAX_ITER,
-) -> PerronData:
+def perron_of_inverse(m: np.ndarray) -> PerronData:
     """Dominant eigenpair of m^{-1} for an SPD m with entrywise positive inverse.
 
     Power iteration applies m^{-1} through a Cholesky solve each step, starting
     from the all-ones vector (inside the positive cone, so the iteration
     converges to the Perron pair).  Convergence is declared when successive
-    Rayleigh quotients differ by at most rq_tol times the latest one: Perron
-    values grow with the component, so an absolute threshold would fall below
-    one ulp on large components.  The returned vector is normalized to sum 1.
+    Rayleigh quotients differ by at most POWER_RQ_TOL times the latest one:
+    Perron values grow with the component, so an absolute threshold would fall
+    below one ulp on large components.  Raises ConvergenceError after
+    POWER_MAX_ITER steps.  The returned vector is normalized to sum 1.
     """
     n = m.shape[0]
     lower = cholesky_factor(m)
     x = np.ones(n) / math.sqrt(n)
     value = math.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = cholesky_solve(lower, x)
         rq = float(x @ y)
         x = y / np.linalg.norm(y)
-        if abs(rq - value) <= rq_tol * rq:
+        if abs(rq - value) <= POWER_RQ_TOL * rq:
             value = rq
             break
         value = rq
     else:
         raise ConvergenceError(
-            f"power iteration cap {max_iter} reached (last value {value!r})"
+            f"power iteration cap {POWER_MAX_ITER} reached (last value {value!r})"
         )
     total = float(x.sum())
     if total < 0:

@@ -121,20 +121,25 @@ def vertex_perron_data(
     tie_rel_tol: float = TIE_REL_TOL,
 ) -> VertexPerronData:
     """Perron values of all components of g minus v (v must be a cut vertex)."""
+    return _vertex_perron(g, lap, v, tie_rel_tol)[0]
+
+
+def _vertex_perron(g, lap, v, tie_rel_tol):
+    """`vertex_perron_data` plus the Perron vector of each component."""
     components = tuple(delete_vertex_components(g, v))
-    values = tuple(
-        perron_of_inverse(principal_submatrix(lap, comp)).value for comp in components
-    )
+    perron = [perron_of_inverse(principal_submatrix(lap, comp)) for comp in components]
+    values = tuple(p.value for p in perron)
     best = max(values)
     maximizers = tuple(
         i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
     )
     rest = [val for i, val in enumerate(values) if i not in maximizers]
     margin = (best - max(rest)) / best if rest else None
-    return VertexPerronData(
+    data = VertexPerronData(
         vertex=v, components=components, values=values,
         maximizers=maximizers, tie_margin=margin,
     )
+    return data, [p.vector for p in perron]
 
 
 def classify_perron(
@@ -181,8 +186,6 @@ def classify_perron(
 def _cut_vertex_blocks(g: Graph) -> BlockDecomposition:
     """Block decomposition of g, checking the precondition both classifiers
     share: g is connected and has at least one cut vertex."""
-    if not is_connected(g):
-        raise ValueError("classification requires a connected graph")
     dec = block_decomposition(g)
     if not dec.articulation_points:
         raise ValueError("graph has no articulation point; case analysis needs a cut vertex")
@@ -255,14 +258,12 @@ def _check_monotone_paths(g, y, dec, signs, mixed_idx, zero_tol):
     vertex values along every chain to rise, fall, or stay zero according to
     the sign of the chain's first cut vertex."""
     slack = zero_tol * float(np.abs(y).max())
-    arts_of = {i: set(dec.articulations_in_block(i)) for i in range(len(dec.blocks))}
-    blocks_of = {a: set(dec.blocks_containing(a)) for a in dec.articulation_points}
 
     def walk(block_idx, entry_art, sequence):
         nexts = [
             (a, b)
-            for a in arts_of[block_idx] if a != entry_art
-            for b in blocks_of[a] if b != block_idx
+            for a in dec.articulations_in_block(block_idx) if a != entry_art
+            for b in dec.blocks_containing(a) if b != block_idx
         ]
         if not nexts:
             _require_monotone(y, sequence, slack)
@@ -270,8 +271,8 @@ def _check_monotone_paths(g, y, dec, signs, mixed_idx, zero_tol):
         for art, nxt in nexts:
             walk(nxt, art, sequence + [art])
 
-    for art in arts_of[mixed_idx]:
-        for nxt in blocks_of[art]:
+    for art in dec.articulations_in_block(mixed_idx):
+        for nxt in dec.blocks_containing(art):
             if nxt != mixed_idx:
                 walk(nxt, art, [art])
 
@@ -321,41 +322,32 @@ def _classify_case_b(g, signs):
     )
 
 
-def perron_fiedler_basis(
-    g: Graph,
-    z: int,
-    *,
-    tie_rel_tol: float = TIE_REL_TOL,
-) -> list[np.ndarray]:
+def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
     """Eigenspace basis built from the Perron vectors of the tied components
     at the case-B vertex z.
 
     With tied components C_1..C_m at z and x_i the sum-normalized Perron
     vector of the inverse of the C_i submatrix, basis vector i-1 places x_1 on
-    C_1, -x_i on C_i, and zero elsewhere.  Each vector is verified to satisfy
-    the eigen equation at lambda2 = 1/perron value, and lambda2 is
-    cross-checked against the eigensolver.
+    C_1, -x_i on C_i, and zero elsewhere.  lambda2 is the graph's algebraic
+    connectivity, as the caller's `spectral_summary` found it; the reciprocal
+    tied Perron value must agree with it, and each vector is verified to
+    satisfy the eigen equation at that reciprocal.
     """
     lap = laplacian(g)
-    data = vertex_perron_data(g, lap, z, tie_rel_tol=tie_rel_tol)
+    data, perron_vectors = _vertex_perron(g, lap, z, TIE_REL_TOL)
     if len(data.maximizers) < 2:
         raise ValueError(f"vertex {z} does not have tied Perron components")
-    comps = data.perron_components()
-    perron_vectors = [
-        perron_of_inverse(principal_submatrix(lap, comp)).vector for comp in comps
-    ]
     lam2 = 1.0 / data.values[data.maximizers[0]]
-    lam2_eig = float(eig_sym(lap).values[1])
-    if abs(lam2 - lam2_eig) > RESIDUAL_REL_TOL * max(lam2_eig, 1e-300):
+    if abs(lam2 - lambda2) > RESIDUAL_REL_TOL * max(lambda2, 1e-300):
         raise ClassificationError(
-            f"reciprocal Perron value {lam2!r} disagrees with eigensolver {lam2_eig!r}"
+            f"reciprocal Perron value {lam2!r} disagrees with lambda2 {lambda2!r}"
         )
+    first, *others = data.maximizers
     basis = []
-    first = comps[0]
-    for i in range(1, len(comps)):
+    for i, other in enumerate(others, start=1):
         vec = np.zeros(g.n)
-        vec[[v - 1 for v in first]] = perron_vectors[0]
-        vec[[v - 1 for v in comps[i]]] = -perron_vectors[i]
+        vec[[v - 1 for v in data.components[first]]] = perron_vectors[first]
+        vec[[v - 1 for v in data.components[other]]] = -perron_vectors[other]
         residual = float(np.linalg.norm(lap @ vec - lam2 * vec))
         if residual > RESIDUAL_REL_TOL * float(np.linalg.norm(vec)):
             raise ClassificationError(
@@ -366,34 +358,26 @@ def perron_fiedler_basis(
     return basis
 
 
-def tree_type(t: Graph, *, zero_tol: float = ZERO_REL_TOL) -> TreeType:
+def tree_type(t: Graph) -> TreeType:
     """Classify a tree by its Fiedler vector: kind 1 has a zero vertex adjacent
     to support (the characteristic vertex), kind 2 an edge whose endpoints have
-    opposite signs (the characteristic edge)."""
+    opposite signs (the characteristic edge).
+
+    A tree is a block graph whose blocks are single edges, so the two kinds
+    are the structural classifier's case B (zero vertex) and case A (the mixed
+    block is the characteristic edge).  The sole tree without a cut vertex,
+    the single edge, is kind 2.
+    """
     if not is_connected(t) or t.m != t.n - 1:
         raise ValueError("tree classification requires a tree")
     if t.n < 2:
         raise ValueError("tree classification needs at least 2 vertices")
+    if t.n == 2:
+        return TreeType(kind=2, characteristic_edge=(1, 2))
     summary = spectral_summary(t)
-    y = summary.fiedler_basis[:, 0]
-    signs = _sign_pattern(y, zero_tol)
-    characteristic = [
-        v for v in t.vertices()
-        if signs[v - 1] == 0 and any(signs[w - 1] != 0 for w in t.neighbors(v))
-    ]
-    if characteristic:
-        if len(characteristic) > 1:
-            raise ClassificationError(
-                f"multiple characteristic vertices {characteristic}: tolerance pathology"
-            )
-        return TreeType(kind=1, characteristic_vertex=characteristic[0])
-    crossing = [
-        (u, v) for u, v in t.edges if signs[u - 1] * signs[v - 1] < 0
-    ]
-    if len(crossing) != 1:
-        raise ClassificationError(
-            f"expected exactly one sign-crossing edge, found {crossing}"
-        )
+    result = classify_structural(t, summary.fiedler_basis[:, 0], summary.lambda2)
+    if result.verdict == "B":
+        return TreeType(kind=1, characteristic_vertex=result.zero_vertex)
     # lower label first; the global sign of a Fiedler vector is arbitrary, so
     # some Fiedler vector is positive on the first endpoint
-    return TreeType(kind=2, characteristic_edge=crossing[0])
+    return TreeType(kind=2, characteristic_edge=result.mixed_block)

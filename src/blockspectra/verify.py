@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_decomposition, is_block_graph, starlike_profile
+from .blocks import block_decomposition, starlike_profile
 from .generators import (
     block_path,
     block_starlike,
@@ -36,6 +36,7 @@ from .graph import (
 )
 from .linalg import laplacian
 from .spectral import (
+    RESIDUAL_REL_TOL,
     classify_perron,
     spectral_summary,
     tree_type,
@@ -44,7 +45,6 @@ from .spectral import (
 
 TWIN_REL_TOL = 1e-8
 IDENTITY_ABS_TOL = 1e-8
-RESIDUAL_REL_TOL = 1e-8
 ZERO_ENTRY_REL_TOL = 1e-8
 DESK_SCALE_LIMIT = 400
 KIRKLAND_SAMPLE_LIMIT = 10
@@ -113,7 +113,7 @@ def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
     """Every eigenspace basis vector at lambda2 is constant on every class of
     true twins.  Requires a block graph with at least one articulation point."""
     dec = block_decomposition(g)
-    if not is_block_graph(g):
+    if not dec.all_cliques:
         raise ValueError("twin identity applies to block graphs only")
     if not dec.articulation_points:
         raise ValueError("twin identity requires an articulation point")

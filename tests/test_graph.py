@@ -3,20 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockspectra
 from blockspectra import (
+    Graph,
+    StarlikeProfile,
     block_decomposition,
     block_path,
+    block_path_shape,
     block_starlike,
+    broom_tree,
     build_graph,
     center,
+    check_twins_lemma,
     coalesce,
     complete_graph,
     delete_vertex_components,
-    induced_subgraph,
     is_block_graph,
     is_connected,
     path_graph,
     star_graph,
+    starlike_profile,
     true_twin_partition,
 )
 from _util import articulation_oracle, clique_tree, prufer_tree, to_networkx
@@ -164,6 +170,80 @@ class TestIsBlockGraph:
     def test_starlike_member(self):
         assert is_block_graph(block_starlike(3, 4, [3, 2, 1]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs())
+    def test_matches_biconnected_clique_oracle(self, g):
+        nxg = to_networkx(g)
+        expected = all(
+            nxg.subgraph(comp).number_of_edges() == len(comp) * (len(comp) - 1) // 2
+            for comp in nx.biconnected_components(nxg)
+        )
+        assert is_block_graph(g) == expected
+
+
+def _pendant_triangles(base: Graph, at) -> Graph:
+    for v in at:
+        base = coalesce(base, v, complete_graph(3), 1)
+    return base
+
+
+# (graph, block_path_shape, starlike_profile)
+SHAPES = {
+    # vertex 1 is the only vertex in three blocks, but its first triangle also
+    # carries pendant triangles at 2 and 3, so that arm does not end at 1
+    "hub in an interior clique": (
+        _pendant_triangles(complete_graph(3), [2, 3, 1, 1]), None, None),
+    "mixed clique sizes at a hub": (
+        coalesce(block_starlike(3, 3, [1, 1, 1]), 1, complete_graph(4), 1), None, None),
+    "mixed clique sizes along a chain": (
+        coalesce(block_path(3, 1), 5, complete_graph(4), 1), None, None),
+    "two vertices in three blocks": (
+        build_graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)]), None, None),
+    "a block with three articulation points": (
+        _pendant_triangles(complete_graph(3), [1, 2, 3]), None, None),
+    "C4": (build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), None, None),
+    "K1": (build_graph(1, []), None, None),
+    "K4": (complete_graph(4), (4, 0), None),
+    "two arms (r = 2)": (block_starlike(2, 3, [1, 1]), (3, 3), None),
+    "path": (path_graph(5), (2, 3), None),
+    "equal arms": (
+        block_starlike(3, 4, [1, 1, 1]), None, StarlikeProfile(1, 4, (1, 1, 1))),
+    "unequal arms": (
+        block_starlike(3, 4, [3, 2, 1]), None, StarlikeProfile(1, 4, (3, 2, 1))),
+    "zero-length arms": (
+        block_starlike(4, 3, [2, 0, 0, 0]), None, StarlikeProfile(1, 3, (2, 0, 0, 0))),
+    "star": (star_graph(4), None, StarlikeProfile(1, 2, (0, 0, 0, 0))),
+    "broom": (broom_tree(4, 3), None, StarlikeProfile(4, 2, (2, 0, 0, 0))),
+}
+
+
+class TestShapeQueries:
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_block_path_shape(self, name):
+        g, expected, _ = SHAPES[name]
+        assert block_path_shape(g) == expected
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_starlike_profile(self, name):
+        g, _, expected = SHAPES[name]
+        assert starlike_profile(g) == expected
+
+    @pytest.mark.parametrize("query", [
+        is_block_graph, block_path_shape, starlike_profile, check_twins_lemma,
+    ])
+    def test_one_decomposition_per_query(self, query, monkeypatch):
+        calls = []
+        original = block_decomposition
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for module in (blockspectra.blocks, blockspectra.spectral, blockspectra.verify):
+            monkeypatch.setattr(module, "block_decomposition", counted)
+        query(block_starlike(3, 3, [2, 1, 1]))
+        assert len(calls) == 1
+
 
 class TestTrueTwins:
     def test_triangle_single_class(self):
@@ -257,17 +337,3 @@ class TestCoalesce:
         assert merged.m == g.m + h.m
         assert merged.degree(u) == g.degree(u) + h.degree(w)
         assert is_connected(merged)
-
-
-class TestInducedSubgraph:
-    def test_relabeling_and_weights(self):
-        g = build_graph(4, [(1, 2), (2, 4), (3, 4)], {(2, 4): 2.0})
-        sub, relabel = induced_subgraph(g, [2, 4])
-        assert sub.n == 2
-        assert sub.edges == ((1, 2),)
-        assert sub.weight(1, 2) == 2.0
-        assert relabel == {2: 1, 4: 2}
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            induced_subgraph(path_graph(3), [])

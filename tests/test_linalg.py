@@ -19,6 +19,7 @@ from blockspectra import (
     principal_submatrix,
     star_graph,
 )
+from blockspectra import linalg
 from blockspectra.linalg import cholesky_factor, cholesky_solve
 from _util import clique_tree
 
@@ -138,9 +139,10 @@ class TestEigSym:
         with pytest.raises(ValueError, match="square"):
             eig_sym(np.ones((2, 3)))
 
-    def test_sweep_cap_triggers(self):
+    def test_sweep_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
         with pytest.raises(ConvergenceError):
-            eig_sym(laplacian(path_graph(5)), max_sweeps=0)
+            eig_sym(laplacian(path_graph(5)))
 
 
 class TestPrincipalSubmatrix:
@@ -249,7 +251,9 @@ class TestPerronOfInverse:
             assert abs(rho - 1.0 / smallest) <= 1e-10
             assert (perron_of_inverse(m).vector > 0).all()
 
-    def test_iteration_cap_triggers(self):
+    def test_iteration_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 1)
+        monkeypatch.setattr(linalg, "POWER_RQ_TOL", 0.0)
         m = np.array([[1.0, -1.0], [-1.0, 2.0]])
         with pytest.raises(ConvergenceError):
-            perron_of_inverse(m, max_iter=1, rq_tol=0.0)
+            perron_of_inverse(m)

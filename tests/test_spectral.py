@@ -14,6 +14,7 @@ from blockspectra import (
     center_label,
     classify_perron,
     classify_structural,
+    coalesce,
     complete_graph,
     delete_vertex_components,
     format_edge_list,
@@ -171,14 +172,14 @@ class TestClassifyStructural:
 
 class TestPerronFiedlerBasis:
     def test_short_path(self):
-        (vec,) = perron_fiedler_basis(path_graph(3), 2)
+        (vec,) = perron_fiedler_basis(path_graph(3), 2, 1.0)
         assert np.allclose(vec, [1.0, 0.0, -1.0], atol=1e-12)
 
     def test_equal_arm_starlike_spans_eigenspace(self):
         g = block_starlike(3, 4, [1, 1, 1])
-        basis = perron_fiedler_basis(g, 1)
-        assert len(basis) == 2
         s = spectral_summary(g)
+        basis = perron_fiedler_basis(g, 1, s.lambda2)
+        assert len(basis) == 2
         assert s.multiplicity == 2
         # each eigensolver basis vector projects fully onto the built span
         built = np.linalg.qr(np.column_stack(basis))[0]
@@ -189,16 +190,20 @@ class TestPerronFiedlerBasis:
 
     def test_odd_chain_single_vector(self):
         g = block_path(4, 3)
-        basis = perron_fiedler_basis(g, 7)
-        assert len(basis) == 1
         s = spectral_summary(g)
+        basis = perron_fiedler_basis(g, 7, s.lambda2)
+        assert len(basis) == 1
         y = s.fiedler_basis[:, 0]
         b = basis[0] / np.linalg.norm(basis[0])
         assert min(np.linalg.norm(y - b), np.linalg.norm(y + b)) <= 1e-8
 
     def test_untied_vertex_rejected(self):
         with pytest.raises(ValueError, match="tied"):
-            perron_fiedler_basis(block_path(4, 3), 4)
+            perron_fiedler_basis(block_path(4, 3), 4, 0.32938)
+
+    def test_lambda2_disagreeing_with_perron_value_rejected(self):
+        with pytest.raises(ClassificationError, match="disagrees"):
+            perron_fiedler_basis(block_path(4, 3), 7, 0.5)
 
 
 class TestTreeType:
@@ -330,3 +335,12 @@ class TestRouteIsolation:
             classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
         assert calls["perron_of_inverse"] == 0
         assert calls["eig_sym"] == 1
+
+    def test_perron_basis_runs_one_power_iteration_per_component(self, calls):
+        # the fresh K4 at the chain's center is a third, untied component
+        g = coalesce(block_path(4, 3), 7, complete_graph(4), 1)
+        lambda2 = spectral_summary(g).lambda2
+        before = dict(calls)
+        (vec,) = perron_fiedler_basis(g, 7, lambda2)
+        assert calls["eig_sym"] == before["eig_sym"]
+        assert calls["perron_of_inverse"] - before["perron_of_inverse"] == 3
