@@ -8,6 +8,11 @@ parameter sweep).
 Exit codes: 0 success / all assertions pass, 1 usage or input error,
 2 assertion failure or classifier disagreement, 3 numerical non-convergence.
 JSON output is stable-ordered (sorted keys) so runs can be diffed.
+
+Every echo names its stream (`file=sys.stdout` or `file=sys.stderr`).
+Without one, click caches each stream object it sees in a weak-key map whose
+value refers back to the key, so a buffer that an in-process caller swapped
+in for stdout or stderr would never be freed.
 """
 
 import json
@@ -70,7 +75,7 @@ def _envelope(instance: str, tolerances: dict, payload_kind: str, payload) -> st
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -306,7 +311,7 @@ def verify(theorem, k, p, r, arms, sweep_grid, jobs, json_out, csv_out):
     if csv_out:
         with open(csv_out, "w", encoding="ascii") as fh:
             fh.write(reports_to_csv(reports))
-    click.echo(text, nl=False)
+    click.echo(text, nl=False, file=sys.stdout)
 
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0, "info": 0}
     for report in reports:
@@ -314,7 +319,7 @@ def verify(theorem, k, p, r, arms, sweep_grid, jobs, json_out, csv_out):
     click.echo(
         f"# {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['skip']} skip, {counts['error']} error",
-        err=True,
+        file=sys.stderr,
     )
     if any(rep.status == "error" for rep in reports):
         convergence = any(
@@ -333,19 +338,19 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         return EXIT_USAGE
     except click.ClickException as exc:
-        exc.show()
+        exc.show(file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailed as exc:
-        click.echo(f"failure: {exc}", err=True)
+        click.echo(f"failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except ClassificationError as exc:
-        click.echo(f"failure: {exc}", err=True)
+        click.echo(f"failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except ConvergenceError as exc:
-        click.echo(f"non-convergence: {exc}", err=True)
+        click.echo(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

@@ -5,10 +5,14 @@ numpy supplies array storage and vector arithmetic only; the eigensolver
 iteration are implemented here.  Everything targets small dense matrices
 (desk scale, n <= a few hundred).
 
+The two classifiers draw on disjoint parts of this module: the structural
+route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair
+(which solves each block's grounded Laplacian for its resistances) and on
+`perron_pair`, which iterates with the bottleneck matrices built from them.
+
 Conventions:
-* matrices are exactly symmetric float64 arrays; `laplacian` and
-  `principal_submatrix` construct them that way and `eig_sym` rejects
-  anything else;
+* matrices are exactly symmetric float64 arrays; `laplacian` constructs them
+  that way and `eig_sym` rejects anything else;
 * eigenvalues are returned ascending with orthonormal column eigenvectors;
 * eigenvector signs are fixed so the largest-magnitude entry of each vector
   is positive (ties resolved to the lowest index), making output
@@ -42,8 +46,10 @@ class EigenDecomposition(NamedTuple):
 
 
 class PerronData(NamedTuple):
-    value: float         # dominant eigenvalue of the inverse
+    value: float         # dominant eigenvalue
     vector: np.ndarray   # strictly positive, entries summing to 1
+    iterations: int      # matrix-vector products taken
+    residual: float      # ||b x - value x|| / value for the last unit iterate x
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -54,17 +60,6 @@ def laplacian(g: Graph) -> np.ndarray:
         lap[v - 1, u - 1] = -w
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
-
-
-def principal_submatrix(m: np.ndarray, vertices) -> np.ndarray:
-    """Rows and columns of m restricted to 1-based `vertices`, ascending."""
-    idx = sorted(set(vertices))
-    if not idx:
-        raise ValueError("empty vertex set")
-    if idx[0] < 1 or idx[-1] > m.shape[0]:
-        raise ValueError(f"vertices out of range 1..{m.shape[0]}")
-    sel = [i - 1 for i in idx]
-    return m[np.ix_(sel, sel)].copy()
 
 
 def eig_sym(m: np.ndarray) -> EigenDecomposition:
@@ -155,7 +150,8 @@ def cholesky_factor(m: np.ndarray) -> np.ndarray:
 
 
 def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the Cholesky factor L."""
+    """Solve (L L^T) x = b given the Cholesky factor L; b is a vector or a
+    matrix whose columns are solved together."""
     n = lower.shape[0]
     y = np.array(b, dtype=float)
     for i in range(n):
@@ -166,33 +162,33 @@ def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def perron_of_inverse(m: np.ndarray) -> PerronData:
-    """Dominant eigenpair of m^{-1} for an SPD m with entrywise positive inverse.
+def perron_pair(b: np.ndarray) -> PerronData:
+    """Dominant eigenpair of a symmetric, entrywise positive matrix b.
 
-    Power iteration applies m^{-1} through a Cholesky solve each step, starting
-    from the all-ones vector (inside the positive cone, so the iteration
-    converges to the Perron pair).  Convergence is declared when successive
-    Rayleigh quotients differ by at most POWER_RQ_TOL times the latest one:
-    Perron values grow with the component, so an absolute threshold would fall
-    below one ulp on large components.  Raises ConvergenceError after
-    POWER_MAX_ITER steps.  The returned vector is normalized to sum 1.
+    Power iteration takes one product b @ x per step, starting from the
+    all-ones vector (inside the positive cone, so the iteration converges to
+    the Perron pair).  Convergence is declared when successive Rayleigh
+    quotients differ by at most POWER_RQ_TOL times the latest one: Perron
+    values grow with the component, so an absolute threshold would fall below
+    one ulp on large components.  Raises ConvergenceError after POWER_MAX_ITER
+    steps.  The returned vector is normalized to sum 1.
     """
-    n = m.shape[0]
-    lower = cholesky_factor(m)
+    n = b.shape[0]
     x = np.ones(n) / math.sqrt(n)
     value = math.inf
-    for _ in range(POWER_MAX_ITER):
-        y = cholesky_solve(lower, x)
+    for step in range(1, POWER_MAX_ITER + 1):
+        y = b @ x
         rq = float(x @ y)
-        x = y / np.linalg.norm(y)
-        if abs(rq - value) <= POWER_RQ_TOL * rq:
-            value = rq
+        converged = abs(rq - value) <= POWER_RQ_TOL * rq
+        value, last = rq, x
+        x = y / math.sqrt(y @ y)  # what np.linalg.norm computes, without its overhead
+        if converged:
             break
-        value = rq
     else:
         raise ConvergenceError(
             f"power iteration cap {POWER_MAX_ITER} reached (last value {value!r})"
         )
+    residual = float(np.linalg.norm(y - value * last)) / value
     total = float(x.sum())
     if total < 0:
         x = -x
@@ -203,4 +199,4 @@ def perron_of_inverse(m: np.ndarray) -> PerronData:
             "computed dominant eigenvector is not strictly positive; "
             "input is not a bottleneck-type matrix"
         )
-    return PerronData(value=value, vector=vector)
+    return PerronData(value=value, vector=vector, iterations=step, residual=residual)

@@ -13,23 +13,26 @@ with respect to any Fiedler vector:
 vector.  `classify_perron` decides the same dichotomy through an independent
 route: for each cut vertex it compares the dominant eigenvalues of the
 inverses of the component submatrices (their "Perron values"); two or more
-tied maximizers at some vertex means case B at that vertex.  The two
-classifiers share no numerical machinery beyond the Laplacian itself, which
-is the point: each one cross-checks the other.
+tied maximizers at some vertex means case B at that vertex.
+
+The Perron route reads only edge weights and the block-cut tree.  Those
+inverses are bottleneck matrices, Green's functions grounded at the cut
+vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R is effective
+resistance (Klein & Randic 1993).  Resistance adds up across cut vertices,
+so R comes from one walk over the tree, solving only each block's own
+grounded Laplacian.  The structural route alone assembles the Laplacian and
+calls the eigensolver, so the two classifiers share no numerical machinery,
+which is the point: each one cross-checks the other.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockDecomposition, block_decomposition
 from .graph import Graph, delete_vertex_components, is_connected
-from .linalg import (
-    eig_sym,
-    laplacian,
-    perron_of_inverse,
-    principal_submatrix,
-)
+from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pair
 
 ZERO_REL_TOL = 1e-7
 TIE_REL_TOL = 1e-9
@@ -115,19 +118,19 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
 def vertex_perron_data(
     g: Graph,
-    lap: np.ndarray,
     v: int,
     *,
     tie_rel_tol: float = TIE_REL_TOL,
 ) -> VertexPerronData:
     """Perron values of all components of g minus v (v must be a cut vertex)."""
-    return _vertex_perron(g, lap, v, tie_rel_tol)[0]
+    dec = block_decomposition(g)
+    return _vertex_perron(_resistances(g, dec), v, _branches(dec, [v])[v], tie_rel_tol)[0]
 
 
-def _vertex_perron(g, lap, v, tie_rel_tol):
-    """`vertex_perron_data` plus the Perron vector of each component."""
-    components = tuple(delete_vertex_components(g, v))
-    perron = [perron_of_inverse(principal_submatrix(lap, comp)) for comp in components]
+def _vertex_perron(res, v, components, tie_rel_tol):
+    """`vertex_perron_data` from the graph's resistances `res` and the
+    components of g minus v, plus the Perron vector of each component."""
+    perron = [perron_pair(_bottleneck(res, comp, v)) for comp in components]
     values = tuple(p.value for p in perron)
     best = max(values)
     maximizers = tuple(
@@ -140,6 +143,106 @@ def _vertex_perron(g, lap, v, tie_rel_tol):
         maximizers=maximizers, tie_margin=margin,
     )
     return data, [p.vector for p in perron]
+
+
+def _branches(dec: BlockDecomposition, vertices) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Components of g minus v for each v in `vertices`: one per block at v,
+    holding the vertices of the block-cut subtree that hangs from that block.
+    Sorted tuples, ordered by smallest vertex.
+
+    A depth-first walk from block 0 lists each vertex once, in the first
+    block that reaches it.  Every block's subtree is then one run of that
+    list, and the runs of the blocks hanging from one vertex are adjacent, so
+    each component is one or two slices.
+    """
+    order: list[int] = []
+    index: dict[int, int] = {}  # vertex -> its position in order
+    start = [0] * len(dec.blocks)
+    stop = [0] * len(dec.blocks)
+    stack = [(0, 0)]  # (block, the vertex it hangs from; 0 for block 0)
+    while stack:
+        i, entry = stack.pop()
+        if i < 0:
+            stop[~i] = len(order)
+            continue
+        start[i] = len(order)
+        for u in dec.blocks[i]:
+            if u != entry:
+                index[u] = len(order)
+                order.append(u)
+        stack.append((~i, 0))
+        stack.extend(
+            (j, a)
+            for a in dec.articulations_in_block(i) if a != entry
+            for j in dec.blocks_containing(a) if j != i
+        )
+    branches = {}
+    for v in vertices:
+        at = index[v]
+        below = [j for j in dec.blocks_containing(v) if start[j] > at]
+        lo = min((start[j] for j in below), default=len(order))
+        hi = max((stop[j] for j in below), default=len(order))
+        comps = [order[start[j]:stop[j]] for j in below]
+        comps.append(order[:at] + order[at + 1:lo] + order[hi:])
+        branches[v] = tuple(sorted(tuple(sorted(c)) for c in comps))
+    return branches
+
+
+def _bottleneck(res: np.ndarray, comp: tuple[int, ...], v: int) -> np.ndarray:
+    """Inverse of L[comp] for a component of g minus v: the Green's function
+    grounded at v, (r_i + r_j - R_ij) / 2 with r = R[comp, v].  Exactly
+    symmetric, since `res` is."""
+    idx = np.array(comp) - 1
+    r = res[idx, v - 1]
+    return (r[:, None] + r - res[idx[:, None], idx]) / 2
+
+
+def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
+    """Effective resistance between every pair of vertices, as an exactly
+    symmetric n x n array.
+
+    Every path between blocks runs through the cut vertices joining them, so
+    resistance adds up across them: a block entered through cut vertex a puts
+    each of its vertices R_block[., a] further from every vertex placed
+    before it than a is.  One walk over the block-cut tree fills the matrix.
+    """
+    res = np.zeros((g.n, g.n))
+    placed = np.zeros(0, dtype=int)
+    stack = [(0, 0)]  # (block, the cut vertex it hangs from; 0 for block 0)
+    while stack:
+        i, a = stack.pop()
+        block = dec.blocks[i]
+        local = _block_resistances(g, block)
+        fresh = np.array([t for t, u in enumerate(block) if u != a])
+        idx = np.array(block)[fresh] - 1
+        if a:
+            cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
+            res[idx[:, None], placed] = cross
+            res[placed[:, None], idx] = cross.T
+        res[idx[:, None], idx] = local[fresh[:, None], fresh]
+        placed = np.concatenate([placed, idx])
+        stack.extend(
+            (j, b)
+            for b in dec.articulations_in_block(i) if b != a
+            for j in dec.blocks_containing(b) if j != i
+        )
+    return res
+
+
+def _block_resistances(g: Graph, block: tuple[int, ...]) -> np.ndarray:
+    """Effective resistances among the vertices of one block, from the
+    inverse of its Laplacian grounded at the block's first vertex."""
+    s = len(block)
+    lap = np.zeros((s, s))
+    for (i, u), (j, w) in itertools.combinations(enumerate(block), 2):
+        if g.has_edge(u, w):
+            lap[i, j] = lap[j, i] = -g.weight(u, w)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    green = np.zeros((s, s))
+    green[1:, 1:] = cholesky_solve(cholesky_factor(lap[1:, 1:]), np.eye(s - 1))
+    d = green.diagonal()
+    # G + G^T is exactly symmetric where the solved G need not be
+    return (d[:, None] + d[None, :]) - (green + green.T)
 
 
 def classify_perron(
@@ -156,10 +259,10 @@ def classify_perron(
     silently resolved.
     """
     dec = _cut_vertex_blocks(g)
-    lap = laplacian(g)
+    res = _resistances(g, dec)
+    branches = _branches(dec, dec.articulation_points)
     by_vertex = {
-        v: vertex_perron_data(g, lap, v, tie_rel_tol=tie_rel_tol)
-        for v in dec.articulation_points
+        v: _vertex_perron(res, v, comps, tie_rel_tol)[0] for v, comps in branches.items()
     }
     report = PerronReport(by_vertex=by_vertex)
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
@@ -333,8 +436,10 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
     tied Perron value must agree with it, and each vector is verified to
     satisfy the eigen equation at that reciprocal.
     """
-    lap = laplacian(g)
-    data, perron_vectors = _vertex_perron(g, lap, z, TIE_REL_TOL)
+    dec = block_decomposition(g)
+    data, perron_vectors = _vertex_perron(
+        _resistances(g, dec), z, _branches(dec, [z])[z], TIE_REL_TOL
+    )
     if len(data.maximizers) < 2:
         raise ValueError(f"vertex {z} does not have tied Perron components")
     lam2 = 1.0 / data.values[data.maximizers[0]]
@@ -343,6 +448,7 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
             f"reciprocal Perron value {lam2!r} disagrees with lambda2 {lambda2!r}"
         )
     first, *others = data.maximizers
+    lap = laplacian(g)
     basis = []
     for i, other in enumerate(others, start=1):
         vec = np.zeros(g.n)

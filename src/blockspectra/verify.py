@@ -267,7 +267,7 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
         )
     rec.measure("max_extension_residual_rel", worst_residual)
 
-    hub_data = vertex_perron_data(merged, lap_merged, u)
+    hub_data = vertex_perron_data(merged, u)
     new_block_comp_idx = next(
         i for i, comp in enumerate(hub_data.components) if comp == new_vertices
     )

@@ -27,12 +27,11 @@ from blockspectra import (
     eig_sym,
     laplacian,
     path_graph,
-    perron_of_inverse,
-    principal_submatrix,
     spectral_summary,
     star_graph,
     broom_tree,
     build_graph,
+    vertex_perron_data,
 )
 from _util import clique_tree, prufer_tree
 
@@ -236,10 +235,13 @@ def test_c09_power_iteration_matches_eigensolver():
             if len(comps) < 2:
                 continue
             had_cut = True
-            for comp in comps:
-                sub = principal_submatrix(lap, comp)
-                rho = perron_of_inverse(sub).value
-                smallest = float(eig_sym(sub).values[0])
+            data = vertex_perron_data(g, v)
+            if data.components != tuple(comps):
+                failures.append(f"n={g.n} v={v}: components {data.components} != {comps}")
+                continue
+            for comp, rho in zip(data.components, data.values):
+                idx = [u - 1 for u in comp]
+                smallest = float(eig_sym(lap[np.ix_(idx, idx)]).values[0])
                 gap = abs(rho - 1.0 / smallest)
                 worst = max(worst, gap)
                 checks += 1

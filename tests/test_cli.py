@@ -1,8 +1,13 @@
+import gc
+import io
 import json
+import time
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from blockspectra import block_path, block_starlike, format_edge_list, parse_edge_list
+from blockspectra import block_path, block_starlike, format_edge_list, linalg, parse_edge_list
 from blockspectra.cli import main
 
 
@@ -284,6 +289,47 @@ class TestVerify:
                            "-k", "2", "-p", "1")
         assert code == 3
         assert "non-convergence" in err
+
+    @pytest.mark.parametrize("k,p", [(2, 398), (3, 198), (4, 132)])
+    def test_parity_near_the_size_cap(self, capsys, k, p):
+        # n = 400, 399 and 400: the Perron route at the largest accepted sizes
+        code, out, _ = run(capsys, "verify", "--theorem", "path-parity",
+                           "-k", str(k), "-p", str(p))
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["status"] == "pass"
+        assert report["measurements"]["verdict"] == "A"
+
+    def test_iteration_cap_fails_fast(self, capsys, monkeypatch):
+        # with no convergence test every power iteration runs to the default
+        # cap, which must end in a specific error within seconds, not minutes
+        monkeypatch.setattr(linalg, "POWER_RQ_TOL", 0.0)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", "--theorem", "path-parity",
+                           "-k", "2", "-p", "40")
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert "non-convergence" in err
+
+
+class TestInProcessStreams:
+    """A caller that runs `main` in-process with its own stdout and stderr
+    buffers gets them back: nothing in the CLI keeps them alive."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorem", "path-parity", "-k", "2", "-p", "1"],
+        ["verify", "--theorem", "flat-earth", "-k", "2"],
+        ["classify", "no-such-file.edges"],
+    ])
+    def test_redirected_buffers_are_released(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            main(argv)
+        assert out.getvalue() or err.getvalue()
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestTopLevel:

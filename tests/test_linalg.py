@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 from blockspectra import (
     ConvergenceError,
     NotPositiveDefiniteError,
+    block_decomposition,
     block_path,
     build_graph,
     complete_graph,
-    delete_vertex_components,
     eig_sym,
     laplacian,
     path_graph,
-    perron_of_inverse,
-    principal_submatrix,
     star_graph,
+    vertex_perron_data,
 )
-from blockspectra import linalg
-from blockspectra.linalg import cholesky_factor, cholesky_solve
+from blockspectra import linalg, spectral
+from blockspectra.linalg import cholesky_factor, cholesky_solve, perron_pair
 from _util import clique_tree
 
 RNG = np.random.default_rng(20240817)
@@ -145,33 +144,6 @@ class TestEigSym:
             eig_sym(laplacian(path_graph(5)))
 
 
-class TestPrincipalSubmatrix:
-    def test_single_vertex(self):
-        assert np.array_equal(principal_submatrix(laplacian(path_graph(3)), [1]), [[1.0]])
-
-    def test_pair(self):
-        got = principal_submatrix(laplacian(path_graph(3)), [1, 2])
-        assert np.array_equal(got, [[1, -1], [-1, 2]])
-
-    def test_clique_remainder(self):
-        got = principal_submatrix(laplacian(complete_graph(4)), [2, 3, 4])
-        assert np.array_equal(got, 4 * np.eye(3) - np.ones((3, 3)))
-
-    def test_order_is_ascending(self):
-        lap = laplacian(path_graph(4))
-        assert np.array_equal(
-            principal_submatrix(lap, [3, 1]), principal_submatrix(lap, [1, 3])
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            principal_submatrix(laplacian(path_graph(3)), [])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
-            principal_submatrix(laplacian(path_graph(3)), [4])
-
-
 def spd_solve(m, b):
     """Solve m x = b through the factor and solve pair power iteration uses."""
     return cholesky_solve(cholesky_factor(m), b)
@@ -206,33 +178,57 @@ class TestSpdSolve:
             spd_solve(np.zeros((2, 2)), np.ones(2))
 
 
+def bottlenecks(g, v):
+    """(component, bottleneck matrix) for each component of g minus v, as the
+    Perron route builds them from the graph's resistances."""
+    dec = block_decomposition(g)
+    res = spectral._resistances(g, dec)
+    return [(c, spectral._bottleneck(res, c, v)) for c in spectral._branches(dec, [v])[v]]
+
+
+def submatrix(lap, comp):
+    idx = [u - 1 for u in comp]
+    return lap[np.ix_(idx, idx)]
+
+
 class TestPerronOfInverse:
+    """Perron pairs of bottleneck matrices, the inverses of the Laplacian
+    submatrices of the components left by deleting a vertex."""
+
     def test_pendant_block(self):
-        data = perron_of_inverse(np.array([[1.0]]))
+        data = perron_pair(np.array([[1.0]]))
         assert data.value == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(data.vector, [1.0])
+        assert data.iterations == 2
+        assert data.residual == 0.0
 
     def test_two_vertex_block(self):
-        m = np.array([[1.0, -1.0], [-1.0, 2.0]])
-        data = perron_of_inverse(m)
+        ((comp, b),) = bottlenecks(path_graph(3), 3)
+        assert comp == (1, 2)
+        data = perron_pair(b)
         assert data.value == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-10)
         assert (data.vector > 0).all()
         assert data.vector.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_residual_bounds_the_error(self):
+        # for symmetric b and a unit vector x, some eigenvalue lies within
+        # ||b x - theta x|| of theta (Parlett)
+        data = perron_pair(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        exact = (3 + math.sqrt(5)) / 2
+        assert data.iterations >= 2
+        assert 0.0 < data.residual < 1e-6
+        assert abs(data.value - exact) <= data.residual * data.value
+
     def test_eigen_equation_residual(self):
         g = block_path(4, 2)
-        lap = laplacian(g)
-        comp = delete_vertex_components(g, 4)[0]
-        m = principal_submatrix(lap, comp)
-        data = perron_of_inverse(m)
+        comp, b = bottlenecks(g, 4)[0]
+        m = submatrix(laplacian(g), comp)
+        data = perron_pair(b)
         # M^{-1} v = rho v  <=>  M v = v / rho
         assert np.linalg.norm(m @ data.vector - data.vector / data.value) <= 1e-10
 
     def test_chain_center_components_tie_at_reciprocal_lambda2(self):
-        g = block_path(4, 3)
-        lap = laplacian(g)
-        halves = delete_vertex_components(g, 7)
-        rhos = [perron_of_inverse(principal_submatrix(lap, c)).value for c in halves]
+        rhos = vertex_perron_data(block_path(4, 3), 7).values
         assert abs(rhos[0] - rhos[1]) <= 1e-9 * rhos[0]
         assert round(1.0 / rhos[0], 5) == 0.32938
 
@@ -240,20 +236,15 @@ class TestPerronOfInverse:
     @given(small_clique_trees, st.integers(0, 100))
     def test_matches_reciprocal_smallest_eigenvalue(self, g, pick):
         v = 1 + pick % g.n
-        comps = delete_vertex_components(g, v)
-        if not comps:
-            return
         lap = laplacian(g)
-        for comp in comps:
-            m = principal_submatrix(lap, comp)
-            rho = perron_of_inverse(m).value
-            smallest = eig_sym(m).values[0]
-            assert abs(rho - 1.0 / smallest) <= 1e-10
-            assert (perron_of_inverse(m).vector > 0).all()
+        for comp, b in bottlenecks(g, v):
+            data = perron_pair(b)
+            smallest = eig_sym(submatrix(lap, comp)).values[0]
+            assert abs(data.value - 1.0 / smallest) <= 1e-10
+            assert (data.vector > 0).all()
 
     def test_iteration_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 1)
         monkeypatch.setattr(linalg, "POWER_RQ_TOL", 0.0)
-        m = np.array([[1.0, -1.0], [-1.0, 2.0]])
         with pytest.raises(ConvergenceError):
-            perron_of_inverse(m)
+            perron_pair(np.array([[2.0, 1.0], [1.0, 1.0]]))

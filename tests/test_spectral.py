@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockspectra import (
     ClassificationError,
@@ -27,6 +29,7 @@ from blockspectra import (
 )
 from blockspectra import spectral
 from blockspectra.cli import main
+from _util import clique_tree
 
 
 class TestSpectralSummary:
@@ -301,13 +304,59 @@ class TestLargePerronValues:
         _assert_routes_agree_on(light, ("B", 7))
 
 
+@st.composite
+def weighted_clique_trees(draw):
+    """Random clique trees, half of them with random positive edge weights."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=6))
+    attach = draw(st.lists(st.integers(0, 60), min_size=len(sizes) - 1,
+                           max_size=len(sizes) - 1))
+    g = clique_tree(sizes, attach)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(1e-2, 1e2), min_size=g.m, max_size=g.m))
+        g = build_graph(g.n, g.edges, dict(zip(g.edges, weights)))
+    return g
+
+
+class TestBottleneckMatrices:
+    """The Perron route builds each bottleneck matrix from effective
+    resistances; numpy's inverse of the Laplacian submatrix is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_clique_trees())
+    def test_match_inverse_of_laplacian_submatrix(self, g):
+        dec = block_decomposition(g)
+        res = spectral._resistances(g, dec)
+        lap = laplacian(g)
+        pinv = np.linalg.pinv(lap)
+        d = pinv.diagonal()
+        oracle = d[:, None] + d[None, :] - 2 * pinv
+        assert np.array_equal(res, res.T)
+        assert np.abs(res - oracle).max() <= 1e-10 * np.abs(oracle).max()
+        for v, comps in spectral._branches(dec, dec.articulation_points).items():
+            assert comps == tuple(delete_vertex_components(g, v))
+            for comp in comps:
+                idx = [u - 1 for u in comp]
+                b = spectral._bottleneck(res, comp, v)
+                inverse = np.linalg.inv(lap[np.ix_(idx, idx)])
+                assert np.array_equal(b, b.T)
+                assert np.abs(b - inverse).max() <= 1e-10 * np.abs(inverse).max()
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 7])
+    def test_unit_clique_resistance_is_two_over_size(self, s):
+        g = complete_graph(s)
+        res = spectral._resistances(g, block_decomposition(g))
+        off = ~np.eye(s, dtype=bool)
+        assert np.allclose(res[off], 2.0 / s, rtol=1e-14, atol=0.0)
+        assert not res.diagonal().any()
+
+
 class TestRouteIsolation:
     """One eigendecomposition per request; the Perron route never calls the
     eigensolver and the structural route never computes Perron values."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"eig_sym": 0, "perron_of_inverse": 0}
+        counts = {"eig_sym": 0, "perron_pair": 0}
         for name in counts:
             def counted(*args, _name=name, _original=getattr(spectral, name), **kwargs):
                 counts[_name] += 1
@@ -321,19 +370,19 @@ class TestRouteIsolation:
         assert main(["classify", str(path), "--method", "both"]) == 0
         capsys.readouterr()
         assert calls["eig_sym"] == 1
-        assert calls["perron_of_inverse"] > 0
+        assert calls["perron_pair"] > 0
 
     def test_perron_route_never_calls_eigensolver(self, calls):
         classify_perron(block_starlike(3, 4, [1, 1, 1]))
         assert calls["eig_sym"] == 0
-        assert calls["perron_of_inverse"] > 0
+        assert calls["perron_pair"] > 0
 
     def test_structural_route_never_computes_perron_values(self, calls):
         g = block_starlike(3, 4, [1, 1, 1])
         s = spectral_summary(g)
         for j in range(s.multiplicity):
             classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
-        assert calls["perron_of_inverse"] == 0
+        assert calls["perron_pair"] == 0
         assert calls["eig_sym"] == 1
 
     def test_perron_basis_runs_one_power_iteration_per_component(self, calls):
@@ -343,4 +392,4 @@ class TestRouteIsolation:
         before = dict(calls)
         (vec,) = perron_fiedler_basis(g, 7, lambda2)
         assert calls["eig_sym"] == before["eig_sym"]
-        assert calls["perron_of_inverse"] - before["perron_of_inverse"] == 3
+        assert calls["perron_pair"] - before["perron_pair"] == 3
