@@ -242,7 +242,7 @@ def _block_resistances(g: Graph, block: tuple[int, ...]) -> np.ndarray:
     green[1:, 1:] = cholesky_solve(cholesky_factor(lap[1:, 1:]), np.eye(s - 1))
     d = green.diagonal()
     # G + G^T is exactly symmetric where the solved G need not be
-    return (d[:, None] + d[None, :]) - (green + green.T)
+    return (d[:, None] + d) - (green + green.T)
 
 
 def classify_perron(
