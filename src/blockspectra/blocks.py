@@ -17,20 +17,20 @@ class BlockDecomposition:
 
     Block indices refer to positions in `blocks`.  The incidence between
     blocks and articulation points is the block-cut tree, indexed both ways
-    (`blocks_containing`, `articulations_in_block`).  `all_cliques` is True
-    iff every block induces a clique.
+    (`blocks_containing`, `articulations_in_block`).  `rooted` is the same
+    tree rooted at vertex 1: (block, the vertex it hangs from) pairs, each
+    block listed after the block holding the vertex it hangs from.
+    `all_cliques` is True iff every block induces a clique.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     articulation_points: tuple[int, ...]
     all_cliques: bool
+    rooted: tuple[tuple[int, int], ...]
     _blocks_of: tuple[tuple[int, ...], ...]  # entry v - 1: blocks holding vertex v
     _arts_of: tuple[tuple[int, ...], ...]    # entry i: articulation points of block i
-
-    @property
-    def tree_edges(self) -> tuple[tuple[int, int], ...]:
-        """(block_index, articulation_vertex) pairs of the block-cut tree."""
-        return tuple((i, a) for i, arts in enumerate(self._arts_of) for a in arts)
+    _preorder: tuple[int, ...]               # vertices in the order the search found them
+    _spans: tuple[tuple[int, int], ...]      # entry i: the run of _preorder below block i
 
     def blocks_containing(self, v: int) -> tuple[int, ...]:
         return self._blocks_of[v - 1] if 1 <= v <= len(self._blocks_of) else ()
@@ -38,13 +38,34 @@ class BlockDecomposition:
     def articulations_in_block(self, i: int) -> tuple[int, ...]:
         return self._arts_of[i]
 
+    def components_without(self, v: int) -> tuple[tuple[int, ...], ...]:
+        """Components of g minus v: sorted tuples, ordered by smallest vertex.
+
+        Each block hanging from v (its run of the preorder starts after v)
+        leaves that run as one component; the other vertices but v, if any,
+        are the component holding the block v hangs from.
+        """
+        at = self._preorder.index(v)
+        below = [self._preorder[lo:hi] for lo, hi in
+                 (self._spans[i] for i in self.blocks_containing(v)) if lo > at]
+        rest = set(self._preorder).difference([v], *below)
+        return tuple(sorted(tuple(sorted(c)) for c in [*below, rest] if c))
+
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected components and articulation points of a connected graph."""
+    """Biconnected components and articulation points of a connected graph.
+
+    The search runs from vertex 1.  A block is popped when the search leaves
+    its top edge (u, v); it hangs from u, and everything found since v (the
+    search subtree of v) hangs below it, one run of the preorder.  Every
+    block is popped before the block it hangs from, so the pop order
+    reversed lists each parent before its children.
+    """
     if g.n == 1:
         return BlockDecomposition(
             blocks=((1,),), articulation_points=(), all_cliques=True,
-            _blocks_of=((0,),), _arts_of=((),),
+            rooted=((0, 1),), _blocks_of=((0,),), _arts_of=((),),
+            _preorder=(1,), _spans=((1, 1),),
         )
 
     disc = [0] * (g.n + 1)
@@ -52,14 +73,14 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     parent = [0] * (g.n + 1)
     nbr_iter = [None] * (g.n + 1)
     edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[tuple[int, ...]] = []
+    popped: list[tuple[tuple[int, ...], int, tuple[int, int]]] = []  # (block, u, span)
     articulation: set[int] = set()
     all_cliques = True
 
     root = 1
     root_children = 0
-    timer = 1
-    disc[root] = low[root] = timer
+    preorder = [root]
+    disc[root] = low[root] = 1
     nbr_iter[root] = iter(g.neighbors(root))
     stack = [root]
     while stack:
@@ -86,7 +107,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 # all the edges of the block
                 s = len(members)
                 all_cliques = all_cliques and 2 * edges == s * (s - 1)
-                raw_blocks.append(tuple(sorted(members)))
+                popped.append((tuple(sorted(members)), u, (disc[v] - 1, len(preorder))))
             continue
         if w == parent[v]:
             continue
@@ -94,8 +115,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             if v == root:
                 root_children += 1
             parent[w] = v
-            timer += 1
-            disc[w] = low[w] = timer
+            preorder.append(w)
+            disc[w] = low[w] = len(preorder)
             nbr_iter[w] = iter(g.neighbors(w))
             edge_stack.append((v, w))
             stack.append(w)
@@ -103,12 +124,14 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
             # back edge to an ancestor
             edge_stack.append((v, w))
             low[v] = min(low[v], disc[w])
-    if timer < g.n:
+    if len(preorder) < g.n:
         raise ValueError("block decomposition requires a connected graph")
     if root_children >= 2:
         articulation.add(root)
 
-    blocks = tuple(sorted(raw_blocks))
+    ranked = sorted(popped)  # by block; no two blocks are equal
+    blocks = tuple(block for block, _, _ in ranked)
+    index = {block: i for i, block in enumerate(blocks)}
     blocks_of: list[list[int]] = [[] for _ in range(g.n)]
     arts_of: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):
@@ -119,8 +142,11 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         blocks=blocks,
         articulation_points=tuple(sorted(articulation)),
         all_cliques=all_cliques,
+        rooted=tuple((index[block], u) for block, u, _ in reversed(popped)),
         _blocks_of=tuple(map(tuple, blocks_of)),
         _arts_of=tuple(arts_of),
+        _preorder=tuple(preorder),
+        _spans=tuple(span for _, _, span in ranked),
     )
 
 

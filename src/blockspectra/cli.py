@@ -12,7 +12,8 @@ JSON output is stable-ordered (sorted keys) so runs can be diffed.
 Every echo names its stream (`file=sys.stdout` or `file=sys.stderr`).
 Without one, click caches each stream object it sees in a weak-key map whose
 value refers back to the key, so a buffer that an in-process caller swapped
-in for stdout or stderr would never be freed.
+in for stdout or stderr would never be freed.  click's own `--version` and
+`--help` callbacks echo without one, so both are replaced here.
 """
 
 import json
@@ -93,8 +94,36 @@ def _read_graph(path: str):
     return parse_edge_list(text)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="blockspectra")
+def _show_version(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(f"blockspectra, version {__version__}", color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+def _show_help(ctx, param, value):
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose `--help` echoes to the current sys.stdout."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
+
+
+@click.group(cls=_Group)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_show_version, help="Show the version and exit.")
 def cli():
     """Clique-chain graph families, their algebraic connectivity, and
     case A/B classification of their Fiedler vectors."""

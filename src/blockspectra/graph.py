@@ -132,7 +132,8 @@ def center(g: Graph) -> tuple[int, ...]:
 
 
 def delete_vertex_components(g: Graph, v: int) -> list[tuple[int, ...]]:
-    """Components of g with v removed, ordered by smallest contained vertex."""
+    """Components of g with v removed, ordered by smallest contained vertex:
+    the BFS reference the tests compare `components_without` against."""
     if not (1 <= v <= g.n):
         raise ValueError(f"vertex {v} out of range 1..{g.n}")
     seen = {v}

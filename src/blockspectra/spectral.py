@@ -15,11 +15,13 @@ route: for each cut vertex it compares the dominant eigenvalues of the
 inverses of the component submatrices (their "Perron values"); two or more
 tied maximizers at some vertex means case B at that vertex.
 
-The Perron route reads only edge weights and the block-cut tree.  Those
+The Perron route reads only edge weights and the block-cut tree, rooted
+once by `block_decomposition`.  The components of g minus a vertex come from
+that tree (`BlockDecomposition.components_without`), for both routes.  The
 inverses are bottleneck matrices, Green's functions grounded at the cut
 vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R is effective
 resistance (Klein & Randic 1993).  Resistance adds up across cut vertices,
-so R comes from one walk over the tree, solving only each block's own
+so R comes from one pass over the rooted tree, solving only each block's own
 grounded Laplacian.  The structural route alone assembles the Laplacian and
 calls the eigensolver, so the two classifiers share no numerical machinery,
 which is the point: each one cross-checks the other.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockDecomposition, block_decomposition
-from .graph import Graph, delete_vertex_components, is_connected
+from .graph import Graph, is_connected
 from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pair
 
 ZERO_REL_TOL = 1e-7
@@ -116,15 +118,10 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     )
 
 
-def vertex_perron_data(
-    g: Graph,
-    v: int,
-    *,
-    tie_rel_tol: float = TIE_REL_TOL,
-) -> VertexPerronData:
+def vertex_perron_data(g: Graph, v: int) -> VertexPerronData:
     """Perron values of all components of g minus v (v must be a cut vertex)."""
     dec = block_decomposition(g)
-    return _vertex_perron(_resistances(g, dec), v, _branches(dec, [v])[v], tie_rel_tol)[0]
+    return _vertex_perron(_resistances(g, dec), v, dec.components_without(v), TIE_REL_TOL)[0]
 
 
 def _vertex_perron(res, v, components, tie_rel_tol):
@@ -145,49 +142,6 @@ def _vertex_perron(res, v, components, tie_rel_tol):
     return data, [p.vector for p in perron]
 
 
-def _branches(dec: BlockDecomposition, vertices) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Components of g minus v for each v in `vertices`: one per block at v,
-    holding the vertices of the block-cut subtree that hangs from that block.
-    Sorted tuples, ordered by smallest vertex.
-
-    A depth-first walk from block 0 lists each vertex once, in the first
-    block that reaches it.  Every block's subtree is then one run of that
-    list, and the runs of the blocks hanging from one vertex are adjacent, so
-    each component is one or two slices.
-    """
-    order: list[int] = []
-    index: dict[int, int] = {}  # vertex -> its position in order
-    start = [0] * len(dec.blocks)
-    stop = [0] * len(dec.blocks)
-    stack = [(0, 0)]  # (block, the vertex it hangs from; 0 for block 0)
-    while stack:
-        i, entry = stack.pop()
-        if i < 0:
-            stop[~i] = len(order)
-            continue
-        start[i] = len(order)
-        for u in dec.blocks[i]:
-            if u != entry:
-                index[u] = len(order)
-                order.append(u)
-        stack.append((~i, 0))
-        stack.extend(
-            (j, a)
-            for a in dec.articulations_in_block(i) if a != entry
-            for j in dec.blocks_containing(a) if j != i
-        )
-    branches = {}
-    for v in vertices:
-        at = index[v]
-        below = [j for j in dec.blocks_containing(v) if start[j] > at]
-        lo = min((start[j] for j in below), default=len(order))
-        hi = max((stop[j] for j in below), default=len(order))
-        comps = [order[start[j]:stop[j]] for j in below]
-        comps.append(order[:at] + order[at + 1:lo] + order[hi:])
-        branches[v] = tuple(sorted(tuple(sorted(c)) for c in comps))
-    return branches
-
-
 def _bottleneck(res: np.ndarray, comp: tuple[int, ...], v: int) -> np.ndarray:
     """Inverse of L[comp] for a component of g minus v: the Green's function
     grounded at v, (r_i + r_j - R_ij) / 2 with r = R[comp, v].  Exactly
@@ -204,28 +158,21 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     Every path between blocks runs through the cut vertices joining them, so
     resistance adds up across them: a block entered through cut vertex a puts
     each of its vertices R_block[., a] further from every vertex placed
-    before it than a is.  One walk over the block-cut tree fills the matrix.
+    before it than a is.  Vertex 1 is placed first, then each block in the
+    rooted order, which places a before the block hanging from it.
     """
     res = np.zeros((g.n, g.n))
-    placed = np.zeros(0, dtype=int)
-    stack = [(0, 0)]  # (block, the cut vertex it hangs from; 0 for block 0)
-    while stack:
-        i, a = stack.pop()
+    placed = np.zeros(1, dtype=int)  # vertex 1
+    for i, a in dec.rooted:
         block = dec.blocks[i]
         local = _block_resistances(g, block)
         fresh = np.array([t for t, u in enumerate(block) if u != a])
         idx = np.array(block)[fresh] - 1
-        if a:
-            cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
-            res[idx[:, None], placed] = cross
-            res[placed[:, None], idx] = cross.T
+        cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
+        res[idx[:, None], placed] = cross
+        res[placed[:, None], idx] = cross.T
         res[idx[:, None], idx] = local[fresh[:, None], fresh]
         placed = np.concatenate([placed, idx])
-        stack.extend(
-            (j, b)
-            for b in dec.articulations_in_block(i) if b != a
-            for j in dec.blocks_containing(b) if j != i
-        )
     return res
 
 
@@ -260,9 +207,9 @@ def classify_perron(
     """
     dec = _cut_vertex_blocks(g)
     res = _resistances(g, dec)
-    branches = _branches(dec, dec.articulation_points)
     by_vertex = {
-        v: _vertex_perron(res, v, comps, tie_rel_tol)[0] for v, comps in branches.items()
+        v: _vertex_perron(res, v, dec.components_without(v), tie_rel_tol)[0]
+        for v in dec.articulation_points
     }
     report = PerronReport(by_vertex=by_vertex)
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
@@ -340,7 +287,7 @@ def classify_structural(
         )
     if len(mixed) == 1:
         return _classify_case_a(g, y, dec, signs, mixed[0], zero_tol)
-    return _classify_case_b(g, signs)
+    return _classify_case_b(g, dec, signs)
 
 
 def _classify_case_a(g, y, dec, signs, mixed_idx, zero_tol):
@@ -397,7 +344,7 @@ def _require_monotone(y, arts, slack):
             )
 
 
-def _classify_case_b(g, signs):
+def _classify_case_b(g, dec, signs):
     zero_candidates = [
         v for v in g.vertices()
         if signs[v - 1] == 0 and any(signs[w - 1] != 0 for w in g.neighbors(v))
@@ -408,7 +355,7 @@ def _classify_case_b(g, signs):
             f"unique: candidates {zero_candidates}"
         )
     z = zero_candidates[0]
-    components = delete_vertex_components(g, z)
+    components = dec.components_without(z)
     if len(components) < 2:
         raise ClassificationError(f"zero vertex {z} is not a cut vertex")
     for comp in components:
@@ -438,7 +385,7 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
     """
     dec = block_decomposition(g)
     data, perron_vectors = _vertex_perron(
-        _resistances(g, dec), z, _branches(dec, [z])[z], TIE_REL_TOL
+        _resistances(g, dec), z, dec.components_without(z), TIE_REL_TOL
     )
     if len(data.maximizers) < 2:
         raise ValueError(f"vertex {z} does not have tied Perron components")

@@ -31,7 +31,6 @@ from .graph import (
     Graph,
     center,
     coalesce,
-    delete_vertex_components,
     true_twin_partition,
 )
 from .linalg import laplacian
@@ -349,9 +348,10 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
         picks = np.linspace(0, len(candidates) - 1, KIRKLAND_SAMPLE_LIMIT)
         candidates = sorted({candidates[int(round(i))] for i in picks})
     rec.measure("sampled_vertices", len(candidates))
+    dec = block_decomposition(g)
     for v in candidates:
         if v not in report.by_vertex:
-            comps = delete_vertex_components(g, v)
+            comps = dec.components_without(v)
             rec.require(f"component at non-cut vertex {v} holds z",
                         len(comps) == 1 and z in comps[0], v)
             continue

@@ -320,6 +320,9 @@ class TestInProcessStreams:
         ["verify", "--theorem", "path-parity", "-k", "2", "-p", "1"],
         ["verify", "--theorem", "flat-earth", "-k", "2"],
         ["classify", "no-such-file.edges"],
+        ["--version"],
+        ["--help"],
+        ["classify", "--help"],
     ])
     def test_redirected_buffers_are_released(self, argv):
         out, err = io.StringIO(), io.StringIO()

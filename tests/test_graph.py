@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import blockspectra
@@ -154,9 +154,32 @@ class TestBlockDecomposition:
         tree = nx.Graph()
         tree.add_nodes_from(f"b{i}" for i in range(len(dec.blocks)))
         tree.add_nodes_from(f"a{v}" for v in dec.articulation_points)
-        tree.add_edges_from((f"b{i}", f"a{v}") for i, v in dec.tree_edges)
+        tree.add_edges_from(
+            (f"b{i}", f"a{v}")
+            for i in range(len(dec.blocks)) for v in dec.articulations_in_block(i)
+        )
         assert nx.is_connected(tree)
         assert nx.is_forest(tree)
+        # rooted at vertex 1: every block once, each after the block it hangs from
+        assert sorted(i for i, _ in dec.rooted) == list(range(len(dec.blocks)))
+        listed: set[int] = set()
+        for i, v in dec.rooted:
+            if 1 in dec.blocks[i]:
+                assert v == 1
+            else:
+                assert v in dec.articulations_in_block(i) and v in listed
+            listed.update(dec.blocks[i])
+
+    @settings(max_examples=50, deadline=None)
+    @given(connected_graphs())
+    # vertex 1 is a cut vertex of the star and of the starlike graph
+    @example(build_graph(1, []))
+    @example(star_graph(4))
+    @example(block_starlike(3, 4, [3, 2, 1]))
+    def test_components_without_match_deletion_oracle(self, g):
+        dec = block_decomposition(g)
+        for v in g.vertices():
+            assert dec.components_without(v) == tuple(delete_vertex_components(g, v))
 
 
 class TestIsBlockGraph:

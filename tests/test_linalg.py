@@ -183,7 +183,7 @@ def bottlenecks(g, v):
     Perron route builds them from the graph's resistances."""
     dec = block_decomposition(g)
     res = spectral._resistances(g, dec)
-    return [(c, spectral._bottleneck(res, c, v)) for c in spectral._branches(dec, [v])[v]]
+    return [(c, spectral._bottleneck(res, c, v)) for c in dec.components_without(v)]
 
 
 def submatrix(lap, comp):

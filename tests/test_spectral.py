@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blockspectra
 from blockspectra import (
     ClassificationError,
     block_decomposition,
@@ -332,7 +333,8 @@ class TestBottleneckMatrices:
         oracle = d[:, None] + d[None, :] - 2 * pinv
         assert np.array_equal(res, res.T)
         assert np.abs(res - oracle).max() <= 1e-10 * np.abs(oracle).max()
-        for v, comps in spectral._branches(dec, dec.articulation_points).items():
+        for v in dec.articulation_points:
+            comps = dec.components_without(v)
             assert comps == tuple(delete_vertex_components(g, v))
             for comp in comps:
                 idx = [u - 1 for u in comp]
@@ -393,3 +395,25 @@ class TestRouteIsolation:
         (vec,) = perron_fiedler_basis(g, 7, lambda2)
         assert calls["eig_sym"] == before["eig_sym"]
         assert calls["perron_pair"] - before["perron_pair"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "{graph}", "--method", "both"],
+        ["verify", "--theorem", "kirkland", "-k", "6", "-p", "9"],
+    ])
+    def test_components_come_from_the_block_decomposition(
+        self, argv, monkeypatch, tmp_path, capsys,
+    ):
+        path = tmp_path / "chain.edges"
+        path.write_text(format_edge_list(block_path(4, 3)))
+        calls = []
+
+        def counted(*args, _original=delete_vertex_components):
+            calls.append(args)
+            return _original(*args)
+
+        for module in (blockspectra.graph, spectral, blockspectra.verify):
+            if getattr(module, "delete_vertex_components", None) is delete_vertex_components:
+                monkeypatch.setattr(module, "delete_vertex_components", counted)
+        assert main([a.format(graph=path) for a in argv]) == 0
+        capsys.readouterr()
+        assert calls == []
