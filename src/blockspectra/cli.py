@@ -16,14 +16,13 @@ in for stdout or stderr would never be freed.  click's own `--version` and
 `--help` callbacks echo without one, so both are replaced here.
 """
 
-import json
 import sys
 
 import click
 
 from . import __version__
 from .blocks import is_block_graph
-from .fileio import format_dot, format_edge_list, parse_edge_list
+from .fileio import format_dot, format_edge_list, format_json, parse_edge_list
 from .generators import (
     block_path,
     block_starlike,
@@ -32,7 +31,7 @@ from .generators import (
     path_graph,
     star_graph,
 )
-from .linalg import JACOBI_OFF_REL_TOL, ConvergenceError
+from .linalg import QL_DEFLATION_TOL, ConvergenceError
 from .spectral import (
     TIE_REL_TOL,
     ZERO_REL_TOL,
@@ -71,7 +70,7 @@ def _envelope(instance: str, tolerances: dict, payload_kind: str, payload) -> st
         "tolerances": tolerances,
         payload_kind: payload,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return format_json(doc)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -225,7 +224,7 @@ def spectrum(input, out):
             for j in range(summary.fiedler_basis.shape[1])
         ],
     }
-    tolerances = {"eig_tol": JACOBI_OFF_REL_TOL}
+    tolerances = {"eig_tol": QL_DEFLATION_TOL}
     _emit(_envelope(f"graph from {input}", tolerances, "spectrum", payload), out)
 
 

@@ -1,10 +1,18 @@
-"""Edge-list and DOT serialization.
+"""Edge-list, DOT and JSON serialization.
 
 The interchange format is a plain text edge list: a header line "n m" followed
 by m lines "u v" or "u v w" (w a positive weight; omitted means 1.0).  Output
 is deterministic: edges sorted lexicographically, weights printed with repr so
 parsing them back reproduces the exact Graph.
+
+JSON reports are written by `format_json`, which reproduces
+`json.dumps(obj, sort_keys=True, indent=2)` without its pure-Python encoder:
+that encoder's nested closures refer to one another, so every call leaves a
+reference cycle for the garbage collector.
 """
+
+import math
+from json.encoder import encode_basestring_ascii
 
 from .graph import Graph, build_graph
 
@@ -85,3 +93,60 @@ def load_graph(path: str) -> Graph:
 def save_graph(g: Graph, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_edge_list(g))
+
+
+def format_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte, for
+    nested dicts, lists and tuples of str, int, float, bool and None."""
+    parts: list[str] = []
+    _write_json(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_scalar(obj) -> str | None:
+    """The JSON text of a scalar (json's float spelling included), else None."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    return None
+
+
+def _write_json(obj, parts: list[str], newline: str) -> None:
+    text = _json_scalar(obj)
+    if text is not None:
+        parts.append(text)
+        return
+    if isinstance(obj, (list, tuple)):
+        brackets, items = "[]", [("", value) for value in obj]
+    elif isinstance(obj, dict):
+        brackets, items = "{}", [(_json_key(key) + ": ", value)
+                                 for key, value in sorted(obj.items())]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        parts.append(brackets)
+        return
+    inner = newline + "  "
+    separator = brackets[0] + inner
+    for prefix, value in items:
+        parts.append(separator + prefix)
+        _write_json(value, parts, inner)
+        separator = "," + inner
+    parts.append(newline + brackets[1])
+
+
+def _json_key(key) -> str:
+    name = _json_scalar(key)
+    if name is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return name if isinstance(key, str) else encode_basestring_ascii(name)

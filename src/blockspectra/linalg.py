@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra, self-contained.
 
 numpy supplies array storage and vector arithmetic only; the eigensolver
-(cyclic Jacobi), the SPD factorization (Cholesky), and the dominant-eigenpair
-iteration are implemented here.  Everything targets small dense matrices
+(Householder tridiagonalization plus implicit QL), the SPD factorization
+(Cholesky), and the dominant-eigenpair iteration are implemented here.  Everything targets small dense matrices
 (desk scale, n <= a few hundred).
 
 The two classifiers draw on disjoint parts of this module: the structural
@@ -26,8 +26,8 @@ import numpy as np
 
 from .graph import Graph
 
-JACOBI_OFF_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+QL_DEFLATION_TOL = 2.0 ** -52  # machine epsilon of float64
+QL_MAX_ITER = 30
 POWER_RQ_TOL = 1e-13
 POWER_MAX_ITER = 50_000
 
@@ -63,12 +63,15 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def eig_sym(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix.
 
-    Sweeps row-cyclically over the strict upper triangle, rotating away each
-    off-diagonal entry, until the off-diagonal Frobenius mass drops below
-    JACOBI_OFF_REL_TOL times the Frobenius norm of the input.  Raises
-    ConvergenceError if JACOBI_MAX_SWEEPS sweeps do not get there.
+    Householder reflections reduce the matrix to tridiagonal form T = Qᵀ m Q,
+    one rank-2 update each; implicit Wilkinson-shift QL then diagonalizes T,
+    applying each plane rotation to two rows of Qᵀ (EISPACK tred2/tql2; Golub
+    & Van Loan, Matrix Computations, §8.3).  An off-diagonal entry of T is
+    deflated once it is at most QL_DEFLATION_TOL times max |d_i| + |e_i| over
+    the tridiagonal's diagonal d and off-diagonal e.  Raises ConvergenceError
+    if one eigenvalue takes more than QL_MAX_ITER QL steps.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -76,61 +79,76 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return EigenDecomposition(values=a.diagonal().copy(), vectors=vecs)
+    qt = np.eye(n)  # Qᵀ, so that every update below reads and writes rows
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        tail = float(x[1:] @ x[1:])
+        if tail == 0.0:
+            continue  # column k is already tridiagonal
+        alpha = -math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v /= math.sqrt(v @ v)
+        a[k + 1, k] = alpha
+        # H a H with H = I - 2 v vᵀ, as a - 2 (v wᵀ + w vᵀ) for w = p - (vᵀp) v, p = a v
+        sub = a[k + 1:, k + 1:]
+        p = sub @ v
+        w = p - (v @ p) * v
+        sub -= 2.0 * (np.outer(v, w) + np.outer(w, v))
+        qt[k + 1:] -= 2.0 * np.outer(v, v @ qt[k + 1:])
 
-    norm = float(np.linalg.norm(a))
-    off_target = JACOBI_OFF_REL_TOL * norm
-    off_diagonal = ~np.eye(n, dtype=bool)
-    sweeps = 0
-    while True:
-        # summed directly off the diagonal; norm(a)^2 - norm(diag)^2 would
-        # cancel catastrophically once the matrix is nearly diagonal
-        off = float(np.linalg.norm(a[off_diagonal]))
-        if off <= off_target:
-            break
-        if sweeps >= JACOBI_MAX_SWEEPS:
-            raise ConvergenceError(
-                f"jacobi sweep limit {JACOBI_MAX_SWEEPS} reached (off-diagonal mass {off:.3e})"
-            )
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) * 1e12 < abs(diff):
-                    t = apq / diff  # small-angle limit; avoids overflow in theta
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
+    d = a.diagonal().tolist()
+    e = a.diagonal(-1).tolist() + [0.0]  # e[i] couples d[i] and d[i + 1]
+    if abs(d[-1]) < abs(d[0]):  # QL is accurate on T graded upwards (as LAPACK dsteqr)
+        d, e, qt = d[::-1], e[-2::-1] + [0.0], qt[::-1].copy()
+    rot, pair = np.empty((2, 2)), np.empty((2, n))
+    small = QL_DEFLATION_TOL * max((abs(di) + abs(ei) for di, ei in zip(d, e)), default=0.0)
+    for l in range(n):
+        steps = 0
+        while True:
+            end = next((j for j in range(l, n - 1) if abs(e[j]) <= small), n - 1)
+            if end == l:
+                break
+            if steps == QL_MAX_ITER:
+                raise ConvergenceError(
+                    f"QL iteration cap {QL_MAX_ITER} reached for eigenvalue {l} "
+                    f"(off-diagonal {e[l]:.3e})"
+                )
+            steps += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            g = d[end] - d[l] + e[l] / (g + math.copysign(math.hypot(g, 1.0), g))
+            s = c = 1.0
+            p = 0.0
+            for i in range(end - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:  # underflow: T splits at i + 1, so restart the step
+                    d[i + 1] -= p
+                    e[end] = 0.0
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                rot[0, 0] = rot[1, 1] = c
+                rot[1, 0] = s
+                rot[0, 1] = -s
+                qt[i:i + 2] = np.dot(rot, qt[i:i + 2], out=pair)
+            else:
+                d[l] -= p
+                e[l] = g
+                e[end] = 0.0
 
-    order = np.argsort(a.diagonal(), kind="stable")
-    values = a.diagonal()[order].copy()
-    vecs = vecs[:, order]
-    for j in range(n):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
-    return EigenDecomposition(values=values, vectors=vecs)
+    order = np.argsort(d, kind="stable")
+    rows = qt[order]
+    lead = np.abs(rows).argmax(axis=1)
+    rows[rows[np.arange(n), lead] < 0] *= -1.0
+    return EigenDecomposition(values=np.array(d)[order], vectors=rows.T)
 
 
 def cholesky_factor(m: np.ndarray) -> np.ndarray:

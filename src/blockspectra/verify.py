@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import block_decomposition, starlike_profile
+from .fileio import format_json
 from .generators import (
     block_path,
     block_starlike,
@@ -543,7 +544,7 @@ def reports_to_json(reports) -> str:
         }
         for r in reports
     ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return format_json(payload)
 
 
 def reports_to_csv(reports) -> str:

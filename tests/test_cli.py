@@ -80,7 +80,7 @@ class TestSpectrum:
         assert doc["tool"] == "blockspectra"
         assert round(doc["spectrum"]["lambda2"], 5) == 0.32938
         assert doc["spectrum"]["multiplicity"] == 1
-        assert doc["tolerances"]["eig_tol"] == 1e-12
+        assert doc["tolerances"]["eig_tol"] == linalg.QL_DEFLATION_TOL
 
     def test_complete_graph(self, capsys, tmp_path):
         from blockspectra import complete_graph
@@ -142,6 +142,18 @@ class TestClassify:
         assert doc["classification"]["agreement"] is True
         assert doc["classification"]["perron"]["verdict"] == "B"
         assert doc["classification"]["perron"]["zero_vertex"] == 7
+
+    @pytest.mark.parametrize("k,p", [(2, 398), (3, 198), (4, 132)])
+    def test_both_agree_near_the_size_cap(self, capsys, tmp_path, k, p):
+        # n = 400, 399 and 400; an even articulation count is case A
+        path = tmp_path / "chain.edges"
+        path.write_text(format_edge_list(block_path(k, p)))
+        code, out, _ = run(capsys, "classify", str(path), "--method", "both")
+        assert code == 0
+        doc = json.loads(out)["classification"]
+        assert doc["agreement"] is True
+        assert doc["perron"]["verdict"] == "A"
+        assert [v["verdict"] for v in doc["structural"]["per_vector"]] == ["A"]
 
     def test_perron_only(self, capsys, tmp_path):
         p = tmp_path / "even.edges"
@@ -333,6 +345,28 @@ class TestInProcessStreams:
         del out, err
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
+
+
+class TestNoCyclicGarbage:
+    def test_requests_leave_no_reference_cycles(self, chain_file):
+        argvs = [
+            ["classify", chain_file, "--method", "both"],
+            ["verify", "--theorem", "kirkland", "-k", "3", "-p", "2"],
+            ["spectrum", chain_file],
+        ]
+        sink = io.StringIO()
+        with redirect_stdout(sink), redirect_stderr(sink):
+            for argv in argvs:  # first calls may build caches that hold cycles
+                main(argv)
+            gc.collect()
+            gc.disable()
+            try:
+                codes = [main(argv) for argv in argvs]
+                unreachable = gc.collect()
+            finally:
+                gc.enable()
+        assert codes == [0, 0, 0]
+        assert unreachable == 0
 
 
 class TestTopLevel:

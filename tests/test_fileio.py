@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from blockspectra import (
     build_graph,
     format_dot,
     format_edge_list,
+    format_json,
     load_graph,
     parse_edge_list,
     save_graph,
@@ -89,3 +92,31 @@ class TestDot:
     def test_isolated_vertices_listed(self):
         text = format_dot(build_graph(2, []))
         assert "  1;" in text and "  2;" in text
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, obj):
+        assert format_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {3: "int", 1.5: "float", True: "bool"},
+        {"a": {}, "b": [], "c": [{}]},
+        (1, [2.0, float("nan"), float("-inf")], ("x",)),
+        "\u00e9\u2603 \"quoted\"\n",
+    ])
+    def test_matches_json_dumps_on_keys_tuples_and_escapes(self, obj):
+        assert format_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    def test_unserializable_rejected(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            format_json({"x": object()})

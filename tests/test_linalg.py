@@ -97,6 +97,13 @@ class TestEigSym:
             gram = dec.vectors.T @ dec.vectors
             assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
+    def test_reconstruction_and_orthonormality_at_the_size_cap(self):
+        lap = laplacian(block_path(2, 398))
+        dec = eig_sym(lap)
+        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+        assert np.linalg.norm(lap - recon) <= 1e-10 * np.linalg.norm(lap)
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(400)).max() <= 1e-10
+
     def test_matches_reference_eigensolver(self):
         for n in (3, 6, 11, 25):
             m = random_symmetric(n)
@@ -138,8 +145,8 @@ class TestEigSym:
         with pytest.raises(ValueError, match="square"):
             eig_sym(np.ones((2, 3)))
 
-    def test_sweep_cap_triggers(self, monkeypatch):
-        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    def test_ql_iteration_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "QL_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
             eig_sym(laplacian(path_graph(5)))
 

@@ -148,6 +148,22 @@ class TestClassifyStructural:
             assert c.verdict == "B"
             assert c.zero_vertex == 1
 
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equal_arm_eigenspace(self, r, k, p):
+        # lambda2 has multiplicity r - 1, so the basis columns are one choice
+        # among many: compare the projector onto the eigenspace, not columns
+        g = block_starlike(r, k, [p] * r)
+        s = spectral_summary(g)
+        assert s.multiplicity == r - 1
+        reference = np.linalg.eigh(laplacian(g))[1][:, 1:r]
+        projector = s.fiedler_basis @ s.fiedler_basis.T
+        assert np.abs(projector - reference @ reference.T).max() <= 1e-10
+        for j in range(r - 1):
+            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+            assert (c.verdict, c.zero_vertex) == ("B", 1)
+
     def test_non_eigenvector_rejected(self):
         with pytest.raises(ValueError, match="eigenvector"):
             classify_structural(path_graph(3), np.array([1.0, 1.0, 1.0]), 1.0)
