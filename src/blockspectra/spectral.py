@@ -308,23 +308,20 @@ def _check_monotone_paths(g, y, dec, signs, mixed_idx, zero_tol):
     vertex values along every chain to rise, fall, or stay zero according to
     the sign of the chain's first cut vertex."""
     slack = zero_tol * float(np.abs(y).max())
-
-    def walk(block_idx, entry_art, sequence):
+    # (block, the cut vertex it was entered by, the chain so far), depth first
+    # with an explicit stack: a recursive closure would refer to itself and
+    # leave a reference cycle behind on every call
+    stack = [(mixed_idx, None, [])]
+    while stack:
+        block_idx, entry_art, sequence = stack.pop()
         nexts = [
-            (a, b)
-            for a in dec.articulations_in_block(block_idx) if a != entry_art
-            for b in dec.blocks_containing(a) if b != block_idx
+            (nxt, art, sequence + [art])
+            for art in dec.articulations_in_block(block_idx) if art != entry_art
+            for nxt in dec.blocks_containing(art) if nxt != block_idx
         ]
-        if not nexts:
+        if not nexts and sequence:
             _require_monotone(y, sequence, slack)
-            return
-        for art, nxt in nexts:
-            walk(nxt, art, sequence + [art])
-
-    for art in dec.articulations_in_block(mixed_idx):
-        for nxt in dec.blocks_containing(art):
-            if nxt != mixed_idx:
-                walk(nxt, art, [art])
+        stack.extend(reversed(nexts))
 
 
 def _require_monotone(y, arts, slack):

@@ -348,9 +348,12 @@ class TestInProcessStreams:
 
 
 class TestNoCyclicGarbage:
-    def test_requests_leave_no_reference_cycles(self, chain_file):
+    def test_requests_leave_no_reference_cycles(self, chain_file, tmp_path):
+        even_chain = tmp_path / "even.edges"  # case A: walks the monotone chains
+        even_chain.write_text(format_edge_list(block_path(4, 2)))
         argvs = [
             ["classify", chain_file, "--method", "both"],
+            ["classify", str(even_chain), "--method", "both"],
             ["verify", "--theorem", "kirkland", "-k", "3", "-p", "2"],
             ["spectrum", chain_file],
         ]
@@ -365,7 +368,7 @@ class TestNoCyclicGarbage:
                 unreachable = gc.collect()
             finally:
                 gc.enable()
-        assert codes == [0, 0, 0]
+        assert codes == [0, 0, 0, 0]
         assert unreachable == 0
 
 
