@@ -140,14 +140,6 @@ class TestClassifyStructural:
             assert c.verdict == "B"
             assert c.zero_vertex == 7
 
-    def test_multi_vector_eigenspace(self):
-        g = block_starlike(3, 4, [1, 1, 1])
-        s = spectral_summary(g)
-        for j in range(s.fiedler_basis.shape[1]):
-            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
-            assert c.verdict == "B"
-            assert c.zero_vertex == 1
-
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("p", [1, 2, 3])
