@@ -2,8 +2,8 @@
 
 numpy supplies array storage and vector arithmetic only; the eigensolver
 (Householder tridiagonalization plus implicit QL), the SPD factorization
-(Cholesky), and the dominant-eigenpair iteration are implemented here.  Everything targets small dense matrices
-(desk scale, n <= a few hundred).
+(Cholesky), and the dominant-eigenpair iteration are implemented here.
+Everything targets small dense matrices (desk scale, n <= a few hundred).
 
 The two classifiers draw on disjoint parts of this module: the structural
 route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair
@@ -80,6 +80,8 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
     qt = np.eye(n)  # Qᵀ, so that every update below reads and writes rows
+    if n == 0:
+        return EigenDecomposition(values=np.zeros(0), vectors=qt)
     for k in range(n - 2):
         x = a[k + 1:, k]
         tail = float(x[1:] @ x[1:])
@@ -99,7 +101,7 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
 
     d = a.diagonal().tolist()
     e = a.diagonal(-1).tolist() + [0.0]  # e[i] couples d[i] and d[i + 1]
-    if abs(d[-1]) < abs(d[0]):  # QL is accurate on T graded upwards (as LAPACK dsteqr)
+    if abs(d[-1]) < abs(d[0]):  # QL suits T larger at the bottom (LAPACK dsteqr)
         d, e, qt = d[::-1], e[-2::-1] + [0.0], qt[::-1].copy()
     rot, pair = np.empty((2, 2)), np.empty((2, n))
     small = QL_DEFLATION_TOL * max((abs(di) + abs(ei) for di, ei in zip(d, e)), default=0.0)

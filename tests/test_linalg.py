@@ -83,6 +83,11 @@ class TestEigSym:
         assert np.array_equal(dec.values, np.zeros(4))
         assert np.array_equal(dec.vectors, np.eye(4))
 
+    def test_empty_matrix(self):
+        dec = eig_sym(np.zeros((0, 0)))
+        assert dec.values.shape == (0,)
+        assert dec.vectors.shape == (0, 0)
+
     def test_one_by_one(self):
         dec = eig_sym(np.array([[3.5]]))
         assert dec.values[0] == 3.5
