@@ -13,7 +13,6 @@ from .blocks import (
     BlockDecomposition,
     StarlikeProfile,
     block_decomposition,
-    block_path_shape,
     is_block_graph,
     starlike_profile,
 )
@@ -21,13 +20,10 @@ from .fileio import (
     format_dot,
     format_edge_list,
     format_json,
-    load_graph,
     parse_edge_list,
-    save_graph,
 )
 from .generators import (
     block_path,
-    block_path_articulation_labels,
     block_starlike,
     broom_tree,
     center_label,
@@ -41,7 +37,6 @@ from .graph import (
     build_graph,
     center,
     coalesce,
-    delete_vertex_components,
     eccentricities,
     is_connected,
     true_twin_partition,
@@ -59,18 +54,15 @@ from .spectral import (
     ClassificationError,
     PerronReport,
     SpectralSummary,
-    TreeType,
     VertexPerronData,
     classify_perron,
     classify_structural,
     perron_fiedler_basis,
     spectral_summary,
-    tree_type,
     vertex_perron_data,
 )
 from .verify import (
     TheoremReport,
-    broom_type_survey,
     check_coalescence,
     check_kirkland_identities,
     check_path_parity,
@@ -98,16 +90,12 @@ __all__ = [
     "SpectralSummary",
     "StarlikeProfile",
     "TheoremReport",
-    "TreeType",
     "TwinPartition",
     "VertexPerronData",
     "block_decomposition",
     "block_path",
-    "block_path_articulation_labels",
-    "block_path_shape",
     "block_starlike",
     "broom_tree",
-    "broom_type_survey",
     "build_graph",
     "center",
     "center_label",
@@ -121,7 +109,6 @@ __all__ = [
     "classify_structural",
     "coalesce",
     "complete_graph",
-    "delete_vertex_components",
     "eccentricities",
     "eig_sym",
     "format_dot",
@@ -130,7 +117,6 @@ __all__ = [
     "is_block_graph",
     "is_connected",
     "laplacian",
-    "load_graph",
     "parse_edge_list",
     "parse_grid",
     "path_graph",
@@ -138,12 +124,10 @@ __all__ = [
     "reports_to_csv",
     "reports_to_json",
     "run_theorem",
-    "save_graph",
     "spectral_summary",
     "star_graph",
     "starlike_profile",
     "sweep",
-    "tree_type",
     "true_twin_partition",
     "vertex_perron_data",
 ]

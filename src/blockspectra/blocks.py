@@ -59,7 +59,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     its top edge (u, v); it hangs from u, and everything found since v (the
     search subtree of v) hangs below it, one run of the preorder.  Every
     block is popped before the block it hangs from, so the pop order
-    reversed lists each parent before its children.
+    reversed lists each parent before its children.  The library reads it
+    as `Graph.decomposition`, which computes it once per graph.
     """
     if g.n == 1:
         return BlockDecomposition(
@@ -152,35 +153,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
 def is_block_graph(g: Graph) -> bool:
     """True iff every block of the connected graph g induces a clique."""
-    return block_decomposition(g).all_cliques
-
-
-def _uniform_clique_size(dec: BlockDecomposition) -> int | None:
-    """The common size k >= 2 of the blocks when all are cliques, else None."""
-    sizes = {len(b) for b in dec.blocks}
-    if not dec.all_cliques or len(sizes) != 1:
-        return None
-    k = sizes.pop()
-    return k if k >= 2 else None
-
-
-def block_path_shape(g: Graph) -> tuple[int, int] | None:
-    """Recognize a chain of equal-size cliques.
-
-    Returns (clique_size, articulation_count) when g consists of cliques of one
-    size k >= 2 arranged in a path (consecutive cliques sharing one vertex),
-    else None.  A single clique yields (k, 0).
-    """
-    dec = block_decomposition(g)
-    k = _uniform_clique_size(dec)
-    if k is None:
-        return None
-    # the block-cut tree is a tree; degree <= 2 everywhere makes it a path
-    if any(len(dec.blocks_containing(a)) != 2 for a in dec.articulation_points):
-        return None
-    if any(len(dec.articulations_in_block(i)) > 2 for i in range(len(dec.blocks))):
-        return None
-    return (k, len(dec.articulation_points))
+    return g.decomposition.all_cliques
 
 
 @dataclass(frozen=True)
@@ -200,10 +173,11 @@ def starlike_profile(g: Graph) -> StarlikeProfile | None:
     chain in which the hub is a non-articulation vertex of a terminal clique.
     Returns None when the shape does not match.
     """
-    dec = block_decomposition(g)
-    k = _uniform_clique_size(dec)
-    if k is None:
+    dec = g.decomposition
+    sizes = {len(b) for b in dec.blocks}
+    if not dec.all_cliques or len(sizes) != 1 or min(sizes) < 2:
         return None
+    (k,) = sizes
     hubs = [a for a in dec.articulation_points if len(dec.blocks_containing(a)) >= 3]
     if len(hubs) != 1:
         return None

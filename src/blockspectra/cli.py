@@ -244,8 +244,6 @@ def classify(input, method, zero_tol, tie_tol, out):
     if not is_block_graph(g):
         raise ValueError("classification requires a block graph (every block a clique)")
     payload: dict = {}
-    perron_verdict = None
-    structural_verdicts = []
 
     if method in ("perron", "both"):
         classification, report = classify_perron(g, tie_rel_tol=tie_tol)
@@ -271,18 +269,18 @@ def classify(input, method, zero_tol, tie_tol, out):
 
     if method in ("structural", "both"):
         summary = spectral_summary(g)
-        per_vector = []
-        for j in range(summary.fiedler_basis.shape[1]):
-            result = classify_structural(g, summary.fiedler_basis[:, j], summary.lambda2,
-                                         zero_tol=zero_tol)
-            structural_verdicts.append((result.verdict, result.zero_vertex))
-            per_vector.append({
+        results = classify_structural(g, summary.fiedler_basis, summary.lambda2,
+                                      zero_tol=zero_tol)
+        structural_verdicts = [(result.verdict, result.zero_vertex) for result in results]
+        payload["structural"] = {"per_vector": [
+            {
                 "vector": j,
                 "verdict": result.verdict,
                 "zero_vertex": result.zero_vertex,
                 "mixed_block": list(result.mixed_block) if result.mixed_block else None,
-            })
-        payload["structural"] = {"per_vector": per_vector}
+            }
+            for j, result in enumerate(results)
+        ]}
 
     if method == "both":
         verdicts = set(structural_verdicts) | {perron_verdict}
@@ -341,7 +339,7 @@ def verify(theorem, k, p, r, arms, sweep_grid, jobs, json_out, csv_out):
             fh.write(reports_to_csv(reports))
     click.echo(text, nl=False, file=sys.stdout)
 
-    counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0, "info": 0}
+    counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for report in reports:
         counts[report.status] += 1
     click.echo(

@@ -85,16 +85,6 @@ def format_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_edge_list(fh.read())
-
-
-def save_graph(g: Graph, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_edge_list(g))
-
-
 def format_json(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte, for
     nested dicts, lists and tuples of str, int, float, bool and None."""

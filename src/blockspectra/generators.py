@@ -34,11 +34,6 @@ def block_path(k: int, p: int) -> Graph:
     return build_graph(n, sorted(edges))
 
 
-def block_path_articulation_labels(k: int, p: int) -> tuple[int, ...]:
-    """Labels of the articulation points of block_path(k, p)."""
-    return tuple(j * k - j + 1 for j in range(1, p + 1))
-
-
 def center_label(k: int, p: int) -> int:
     """Label of the unique center vertex of block_path(k, p) for odd p."""
     if p < 1 or p % 2 == 0:

@@ -12,7 +12,12 @@ from functools import cached_property
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected simple graph on vertices 1..n."""
+    """Immutable undirected simple graph on vertices 1..n.
+
+    Derived structure is computed on first use and cached on the instance:
+    `adjacency`, and `decomposition`, the block decomposition every
+    structural query and both case classifiers read.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -29,6 +34,13 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+
+    @cached_property
+    def decomposition(self):
+        """`blocks.block_decomposition(self)`, computed once per graph."""
+        from .blocks import block_decomposition  # blocks imports this module
+
+        return block_decomposition(self)
 
     @cached_property
     def _weight_of(self) -> dict[tuple[int, int], float]:
@@ -129,29 +141,6 @@ def center(g: Graph) -> tuple[int, ...]:
     ecc = eccentricities(g)
     best = min(ecc.values())
     return tuple(v for v in g.vertices() if ecc[v] == best)
-
-
-def delete_vertex_components(g: Graph, v: int) -> list[tuple[int, ...]]:
-    """Components of g with v removed, ordered by smallest contained vertex:
-    the BFS reference the tests compare `components_without` against."""
-    if not (1 <= v <= g.n):
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    seen = {v}
-    comps = []
-    for s in g.vertices():
-        if s in seen:
-            continue
-        comp = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if y != v and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def true_twin_partition(g: Graph) -> TwinPartition:

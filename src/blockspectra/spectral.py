@@ -9,20 +9,21 @@ with respect to any Fiedler vector:
 * case B: no block mixes signs, and a unique zero-valued cut vertex z
   separates all sign changes.
 
-`classify_structural` tests those sign conditions directly on a given Fiedler
-vector.  `classify_perron` decides the same dichotomy through an independent
-route: for each cut vertex it compares the dominant eigenvalues of the
-inverses of the component submatrices (their "Perron values"); two or more
-tied maximizers at some vertex means case B at that vertex.
+`classify_structural` tests those sign conditions directly on each column of
+a given Fiedler basis.  `classify_perron` decides the same dichotomy through
+an independent route: for each cut vertex it compares the dominant
+eigenvalues of the inverses of the component submatrices (their "Perron
+values"); two or more tied maximizers at some vertex means case B at that
+vertex.
 
-The Perron route reads only edge weights and the block-cut tree, rooted
-once by `block_decomposition`.  The components of g minus a vertex come from
-that tree (`BlockDecomposition.components_without`), for both routes.  The
-inverses are bottleneck matrices, Green's functions grounded at the cut
-vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R is effective
-resistance (Klein & Randic 1993).  Resistance adds up across cut vertices,
-so R comes from one pass over the rooted tree, solving only each block's own
-grounded Laplacian.  The structural route alone assembles the Laplacian and
+The Perron route reads only edge weights and the block-cut tree, which
+`Graph.decomposition` builds and roots once per graph.  The components of g
+minus a vertex come from that tree (`BlockDecomposition.components_without`),
+for both routes.  The inverses are bottleneck matrices, Green's functions
+grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
+is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
+vertices, so R comes from one pass over the rooted tree, solving only each
+block's own grounded Laplacian.  The structural route alone assembles the Laplacian and
 calls the eigensolver, so the two classifiers share no numerical machinery,
 which is the point: each one cross-checks the other.
 """
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockDecomposition, block_decomposition
-from .graph import Graph, is_connected
+from .blocks import BlockDecomposition
+from .graph import Graph
 from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pair
 
 ZERO_REL_TOL = 1e-7
@@ -83,13 +84,6 @@ class CaseClassification:
     mixed_block: tuple[int, ...] | None = None          # case A, structural route
 
 
-@dataclass(frozen=True)
-class TreeType:
-    kind: int                                  # 1 or 2
-    characteristic_vertex: int | None = None   # kind 1
-    characteristic_edge: tuple[int, int] | None = None  # kind 2, (u, w) with y_u > 0 > y_w
-
-
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Second-smallest Laplacian eigenvalue with its eigenspace basis.
 
@@ -119,9 +113,17 @@ def spectral_summary(g: Graph) -> SpectralSummary:
 
 
 def vertex_perron_data(g: Graph, v: int) -> VertexPerronData:
-    """Perron values of all components of g minus v (v must be a cut vertex)."""
-    dec = block_decomposition(g)
-    return _vertex_perron(_resistances(g, dec), v, dec.components_without(v), TIE_REL_TOL)[0]
+    """Perron values of all components of g minus the cut vertex v."""
+    return _cut_vertex_perron(g, v)[0]
+
+
+def _cut_vertex_perron(g, v):
+    """`_vertex_perron` at v from g alone; raises ValueError unless v is a
+    cut vertex of g."""
+    dec = g.decomposition
+    if v not in dec.articulation_points:
+        raise ValueError(f"vertex {v} is not a cut vertex of the graph")
+    return _vertex_perron(_resistances(g, dec), v, dec.components_without(v), TIE_REL_TOL)
 
 
 def _vertex_perron(res, v, components, tie_rel_tol):
@@ -203,8 +205,9 @@ def classify_perron(
     or more tied maximal Perron values; if every cut vertex has a unique
     maximizer the verdict is case A.  Two distinct tied vertices would be a
     numerical pathology and raise ClassificationError rather than being
-    silently resolved.
+    silently resolved.  tie_rel_tol must be finite and >= 0.
     """
+    _check_tolerance("tie_rel_tol", tie_rel_tol)
     dec = _cut_vertex_blocks(g)
     res = _resistances(g, dec)
     by_vertex = {
@@ -236,10 +239,15 @@ def classify_perron(
 def _cut_vertex_blocks(g: Graph) -> BlockDecomposition:
     """Block decomposition of g, checking the precondition both classifiers
     share: g is connected and has at least one cut vertex."""
-    dec = block_decomposition(g)
+    dec = g.decomposition
     if not dec.articulation_points:
         raise ValueError("graph has no articulation point; case analysis needs a cut vertex")
     return dec
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
@@ -252,31 +260,39 @@ def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
 
 def classify_structural(
     g: Graph,
-    y: np.ndarray,
+    basis: np.ndarray,
     lambda2: float,
     *,
     zero_tol: float = ZERO_REL_TOL,
-) -> CaseClassification:
-    """Case A/B decision from the sign pattern of an explicit Fiedler vector.
+) -> list[CaseClassification]:
+    """Case A/B decision from the sign pattern of each column of a Fiedler
+    basis, one classification per column.
 
-    lambda2 is the graph's algebraic connectivity, as the caller's
-    `spectral_summary` found it.  The vector is first verified to be a lambda2
-    eigenvector (relative residual <= RESIDUAL_REL_TOL).  Entries within
-    zero_tol * max|y| of zero count as zero.  Raises ClassificationError when
-    the sign pattern fits neither case, which signals a tolerance
-    misconfiguration rather than a property of the graph.
+    basis is n x m; a caller with one vector y passes y[:, None].  lambda2 is
+    the graph's algebraic connectivity, as the caller's `spectral_summary`
+    found it.  Every column is first verified to be a lambda2 eigenvector
+    (relative residual <= RESIDUAL_REL_TOL).  Entries within
+    zero_tol * max|y| of zero count as zero; zero_tol must be finite and
+    >= 0.  Raises ClassificationError when a sign pattern fits neither case,
+    which signals a tolerance misconfiguration rather than a property of the
+    graph.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n,):
-        raise ValueError(f"vector has shape {y.shape}, expected ({g.n},)")
+    _check_tolerance("zero_tol", zero_tol)
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != g.n:
+        raise ValueError(f"basis has shape {basis.shape}, expected ({g.n}, m)")
     dec = _cut_vertex_blocks(g)
-    residual = float(np.linalg.norm(laplacian(g) @ y - lambda2 * y))
-    if residual > RESIDUAL_REL_TOL * max(float(np.linalg.norm(y)), 1e-300):
-        raise ValueError(
-            f"vector is not a lambda2 eigenvector (residual {residual:.3e})"
-        )
-    signs = _sign_pattern(y, zero_tol)
+    residuals = np.linalg.norm(laplacian(g) @ basis - lambda2 * basis, axis=0)
+    for j, (residual, norm) in enumerate(zip(residuals, np.linalg.norm(basis, axis=0))):
+        if residual > RESIDUAL_REL_TOL * max(float(norm), 1e-300):
+            raise ValueError(
+                f"column {j} is not a lambda2 eigenvector (residual {residual:.3e})"
+            )
+    return [_classify_vector(g, dec, y, zero_tol) for y in basis.T]
 
+
+def _classify_vector(g, dec, y, zero_tol):
+    signs = _sign_pattern(y, zero_tol)
     mixed = [
         i for i, block in enumerate(dec.blocks)
         if any(signs[v - 1] > 0 for v in block) and any(signs[v - 1] < 0 for v in block)
@@ -286,11 +302,11 @@ def classify_structural(
             f"{len(mixed)} blocks carry both signs; no case admits more than one"
         )
     if len(mixed) == 1:
-        return _classify_case_a(g, y, dec, signs, mixed[0], zero_tol)
+        return _classify_case_a(y, dec, signs, mixed[0], zero_tol)
     return _classify_case_b(g, dec, signs)
 
 
-def _classify_case_a(g, y, dec, signs, mixed_idx, zero_tol):
+def _classify_case_a(y, dec, signs, mixed_idx, zero_tol):
     for i, block in enumerate(dec.blocks):
         if i == mixed_idx:
             continue
@@ -299,11 +315,11 @@ def _classify_case_a(g, y, dec, signs, mixed_idx, zero_tol):
             raise ClassificationError(
                 f"block {block} is neither sign-pure nor all-zero: cannot classify"
             )
-    _check_monotone_paths(g, y, dec, signs, mixed_idx, zero_tol)
+    _check_monotone_paths(y, dec, mixed_idx, zero_tol)
     return CaseClassification(verdict="A", mixed_block=dec.blocks[mixed_idx])
 
 
-def _check_monotone_paths(g, y, dec, signs, mixed_idx, zero_tol):
+def _check_monotone_paths(y, dec, mixed_idx, zero_tol):
     """Walk the block-cut tree away from the mixed block and require the cut
     vertex values along every chain to rise, fall, or stay zero according to
     the sign of the chain's first cut vertex."""
@@ -380,10 +396,7 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
     tied Perron value must agree with it, and each vector is verified to
     satisfy the eigen equation at that reciprocal.
     """
-    dec = block_decomposition(g)
-    data, perron_vectors = _vertex_perron(
-        _resistances(g, dec), z, dec.components_without(z), TIE_REL_TOL
-    )
+    data, perron_vectors = _cut_vertex_perron(g, z)
     if len(data.maximizers) < 2:
         raise ValueError(f"vertex {z} does not have tied Perron components")
     lam2 = 1.0 / data.values[data.maximizers[0]]
@@ -406,28 +419,3 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
             )
         basis.append(vec)
     return basis
-
-
-def tree_type(t: Graph) -> TreeType:
-    """Classify a tree by its Fiedler vector: kind 1 has a zero vertex adjacent
-    to support (the characteristic vertex), kind 2 an edge whose endpoints have
-    opposite signs (the characteristic edge).
-
-    A tree is a block graph whose blocks are single edges, so the two kinds
-    are the structural classifier's case B (zero vertex) and case A (the mixed
-    block is the characteristic edge).  The sole tree without a cut vertex,
-    the single edge, is kind 2.
-    """
-    if not is_connected(t) or t.m != t.n - 1:
-        raise ValueError("tree classification requires a tree")
-    if t.n < 2:
-        raise ValueError("tree classification needs at least 2 vertices")
-    if t.n == 2:
-        return TreeType(kind=2, characteristic_edge=(1, 2))
-    summary = spectral_summary(t)
-    result = classify_structural(t, summary.fiedler_basis[:, 0], summary.lambda2)
-    if result.verdict == "B":
-        return TreeType(kind=1, characteristic_vertex=result.zero_vertex)
-    # lower label first; the global sign of a Fiedler vector is arbitrary, so
-    # some Fiedler vector is positive on the first endpoint
-    return TreeType(kind=2, characteristic_edge=result.mixed_block)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_decomposition, starlike_profile
+from .blocks import starlike_profile
 from .fileio import format_json
 from .generators import (
     block_path,
     block_starlike,
-    broom_tree,
     center_label,
     complete_graph,
 )
@@ -39,7 +38,6 @@ from .spectral import (
     RESIDUAL_REL_TOL,
     classify_perron,
     spectral_summary,
-    tree_type,
     vertex_perron_data,
 )
 
@@ -54,7 +52,7 @@ KIRKLAND_SAMPLE_LIMIT = 10
 class TheoremReport:
     theorem: str
     instance: dict
-    status: str            # pass | fail | skip | error | info
+    status: str            # pass | fail | skip | error
     assertions: int
     measurements: dict
     failures: tuple[str, ...]
@@ -112,7 +110,7 @@ def _guard_desk_scale(n: int) -> None:
 def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
     """Every eigenspace basis vector at lambda2 is constant on every class of
     true twins.  Requires a block graph with at least one articulation point."""
-    dec = block_decomposition(g)
+    dec = g.decomposition
     if not dec.all_cliques:
         raise ValueError("twin identity applies to block graphs only")
     if not dec.articulation_points:
@@ -349,7 +347,7 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
         picks = np.linspace(0, len(candidates) - 1, KIRKLAND_SAMPLE_LIMIT)
         candidates = sorted({candidates[int(round(i))] for i in picks})
     rec.measure("sampled_vertices", len(candidates))
-    dec = block_decomposition(g)
+    dec = g.decomposition
     for v in candidates:
         if v not in report.by_vertex:
             comps = dec.components_without(v)
@@ -362,24 +360,6 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
         best_comp = vdata.components[vdata.maximizers[0]]
         rec.require(f"maximizer at vertex {v} holds z", z in best_comp, v)
     return rec.report()
-
-
-def broom_type_survey(handles, bristles) -> list[TheoremReport]:
-    """Exploratory: tree kind of every broom over the grid.  Informational
-    only; no claim is asserted."""
-    reports = []
-    for handle in handles:
-        for q in bristles:
-            rec = _Recorder("broom-type", {"handle": handle, "bristles": q})
-            result = tree_type(broom_tree(handle, q))
-            rec.measure("kind", result.kind)
-            if result.kind == 1:
-                rec.measure("characteristic_vertex", result.characteristic_vertex)
-            else:
-                rec.measure("characteristic_edge",
-                            ",".join(map(str, result.characteristic_edge)))
-            reports.append(rec.report(status="info"))
-    return reports
 
 
 def _run_path_parity(inst):

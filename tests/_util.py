@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and random-graph builders."""
 
 import heapq
+from collections import deque
 
 import networkx as nx
 
@@ -13,6 +14,28 @@ def to_networkx(g: Graph) -> nx.Graph:
     for (u, v), w in zip(g.edges, g.weights):
         out.add_edge(u, v, weight=w)
     return out
+
+
+def delete_vertex_components(g: Graph, v: int) -> list[tuple[int, ...]]:
+    """Components of g with v removed, ordered by smallest contained vertex:
+    the BFS reference `BlockDecomposition.components_without` is checked
+    against."""
+    seen = {v}
+    comps = []
+    for s in g.vertices():
+        if s in seen:
+            continue
+        comp = {s}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if y != v and y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 def articulation_oracle(g: Graph) -> set[int]:

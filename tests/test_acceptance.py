@@ -23,7 +23,6 @@ from blockspectra import (
     classify_structural,
     coalesce,
     complete_graph,
-    delete_vertex_components,
     eig_sym,
     laplacian,
     path_graph,
@@ -33,7 +32,7 @@ from blockspectra import (
     build_graph,
     vertex_perron_data,
 )
-from _util import clique_tree, prufer_tree
+from _util import clique_tree, delete_vertex_components, prufer_tree
 
 PARITY_GRID = [(k, p) for k in range(2, 7) for p in range(1, 9)]
 
@@ -187,8 +186,8 @@ def test_c08_dual_classifier_agreement():
     for label, k, params, g in graphs:
         perron_result, _ = classify_perron(g)
         summary = spectral_summary(g)
-        for j in range(summary.fiedler_basis.shape[1]):
-            structural = classify_structural(g, summary.fiedler_basis[:, j], summary.lambda2)
+        structurals = classify_structural(g, summary.fiedler_basis, summary.lambda2)
+        for j, structural in enumerate(structurals):
             if (structural.verdict, structural.zero_vertex) != (
                 perron_result.verdict, perron_result.zero_vertex
             ):

@@ -202,13 +202,22 @@ class TestClassify:
         assert code == 2
         assert "tie" in err
 
+    @pytest.mark.parametrize("flag", ["--tie-tol", "--zero-tol"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_1(self, capsys, chain_file, flag, value):
+        code, out, err = run(capsys, "classify", chain_file, flag, value)
+        assert code == 1
+        assert out == ""
+        assert "must be finite and >= 0" in err
+
     def test_disagreement_exits_2(self, capsys, chain_file, monkeypatch):
         import blockspectra.cli as cli_mod
         from blockspectra import CaseClassification
 
         monkeypatch.setattr(
             cli_mod, "classify_structural",
-            lambda g, y, lambda2, zero_tol: CaseClassification(verdict="A", mixed_block=(1, 2)),
+            lambda g, basis, lambda2, zero_tol:
+                [CaseClassification(verdict="A", mixed_block=(1, 2))] * basis.shape[1],
         )
         code, out, err = run(capsys, "classify", chain_file, "--method", "both")
         assert code == 2

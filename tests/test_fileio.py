@@ -10,11 +10,10 @@ from blockspectra import (
     format_dot,
     format_edge_list,
     format_json,
-    load_graph,
     parse_edge_list,
-    save_graph,
     star_graph,
 )
+from blockspectra.cli import main
 from _util import clique_tree
 
 
@@ -70,10 +69,10 @@ class TestEdgeList:
             parse_edge_list("2 1\n1 1\n")
 
     def test_file_round_trip(self, tmp_path):
-        g = block_path(3, 2)
+        # the CLI writes graph files with `gen --out` and reads them back
         path = tmp_path / "chain.edges"
-        save_graph(g, str(path))
-        assert load_graph(str(path)) == g
+        assert main(["gen", "block-path", "-k", "3", "-p", "2", "--out", str(path)]) == 0
+        assert parse_edge_list(path.read_text(encoding="ascii")) == block_path(3, 2)
 
 
 class TestDot:

@@ -6,21 +6,18 @@ from hypothesis import strategies as st
 from blockspectra import (
     block_decomposition,
     block_path,
-    block_path_articulation_labels,
-    block_path_shape,
     block_starlike,
     broom_tree,
     center,
     center_label,
     coalesce,
     complete_graph,
-    delete_vertex_components,
     is_block_graph,
     is_connected,
     path_graph,
     star_graph,
 )
-from _util import to_networkx
+from _util import delete_vertex_components, to_networkx
 
 
 class TestBlockPath:
@@ -34,7 +31,7 @@ class TestBlockPath:
         assert g.n == 13
         dec = block_decomposition(g)
         assert dec.articulation_points == (4, 7, 10)
-        assert dec.articulation_points == block_path_articulation_labels(4, 3)
+        assert dec.articulation_points == tuple(j * 4 - j + 1 for j in range(1, 4))
 
     def test_p_zero_is_single_clique(self):
         assert block_path(4, 0) == complete_graph(4)
@@ -57,8 +54,10 @@ class TestBlockPath:
         dec = block_decomposition(g)
         assert len(dec.blocks) == p + 1
         assert all(len(b) == k for b in dec.blocks)
-        assert dec.articulation_points == block_path_articulation_labels(k, p)
-        assert block_path_shape(g) == (k, p)
+        assert dec.articulation_points == tuple(j * k - j + 1 for j in range(1, p + 1))
+        # the block-cut tree is a path
+        assert all(len(dec.blocks_containing(a)) == 2 for a in dec.articulation_points)
+        assert all(len(dec.articulations_in_block(i)) <= 2 for i in range(p + 1))
 
 
 class TestCenterLabel:

@@ -9,7 +9,6 @@ from blockspectra import (
     StarlikeProfile,
     block_decomposition,
     block_path,
-    block_path_shape,
     block_starlike,
     broom_tree,
     build_graph,
@@ -17,7 +16,6 @@ from blockspectra import (
     check_twins_lemma,
     coalesce,
     complete_graph,
-    delete_vertex_components,
     is_block_graph,
     is_connected,
     path_graph,
@@ -25,7 +23,13 @@ from blockspectra import (
     starlike_profile,
     true_twin_partition,
 )
-from _util import articulation_oracle, clique_tree, prufer_tree, to_networkx
+from _util import (
+    articulation_oracle,
+    clique_tree,
+    delete_vertex_components,
+    prufer_tree,
+    to_networkx,
+)
 
 clique_trees = st.builds(
     clique_tree,
@@ -210,62 +214,71 @@ def _pendant_triangles(base: Graph, at) -> Graph:
     return base
 
 
-# (graph, block_path_shape, starlike_profile)
+# (graph, starlike_profile)
 SHAPES = {
     # vertex 1 is the only vertex in three blocks, but its first triangle also
     # carries pendant triangles at 2 and 3, so that arm does not end at 1
     "hub in an interior clique": (
-        _pendant_triangles(complete_graph(3), [2, 3, 1, 1]), None, None),
+        _pendant_triangles(complete_graph(3), [2, 3, 1, 1]), None),
     "mixed clique sizes at a hub": (
-        coalesce(block_starlike(3, 3, [1, 1, 1]), 1, complete_graph(4), 1), None, None),
+        coalesce(block_starlike(3, 3, [1, 1, 1]), 1, complete_graph(4), 1), None),
     "mixed clique sizes along a chain": (
-        coalesce(block_path(3, 1), 5, complete_graph(4), 1), None, None),
+        coalesce(block_path(3, 1), 5, complete_graph(4), 1), None),
     "two vertices in three blocks": (
-        build_graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)]), None, None),
+        build_graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)]), None),
     "a block with three articulation points": (
-        _pendant_triangles(complete_graph(3), [1, 2, 3]), None, None),
-    "C4": (build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), None, None),
-    "K1": (build_graph(1, []), None, None),
-    "K4": (complete_graph(4), (4, 0), None),
-    "two arms (r = 2)": (block_starlike(2, 3, [1, 1]), (3, 3), None),
-    "path": (path_graph(5), (2, 3), None),
+        _pendant_triangles(complete_graph(3), [1, 2, 3]), None),
+    "C4": (build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), None),
+    "K1": (build_graph(1, []), None),
+    "K4": (complete_graph(4), None),
+    "two arms (r = 2)": (block_starlike(2, 3, [1, 1]), None),
+    "path": (path_graph(5), None),
     "equal arms": (
-        block_starlike(3, 4, [1, 1, 1]), None, StarlikeProfile(1, 4, (1, 1, 1))),
+        block_starlike(3, 4, [1, 1, 1]), StarlikeProfile(1, 4, (1, 1, 1))),
     "unequal arms": (
-        block_starlike(3, 4, [3, 2, 1]), None, StarlikeProfile(1, 4, (3, 2, 1))),
+        block_starlike(3, 4, [3, 2, 1]), StarlikeProfile(1, 4, (3, 2, 1))),
     "zero-length arms": (
-        block_starlike(4, 3, [2, 0, 0, 0]), None, StarlikeProfile(1, 3, (2, 0, 0, 0))),
-    "star": (star_graph(4), None, StarlikeProfile(1, 2, (0, 0, 0, 0))),
-    "broom": (broom_tree(4, 3), None, StarlikeProfile(4, 2, (2, 0, 0, 0))),
+        block_starlike(4, 3, [2, 0, 0, 0]), StarlikeProfile(1, 3, (2, 0, 0, 0))),
+    "star": (star_graph(4), StarlikeProfile(1, 2, (0, 0, 0, 0))),
+    "broom": (broom_tree(4, 3), StarlikeProfile(4, 2, (2, 0, 0, 0))),
 }
+
+
+def _count_decompositions(monkeypatch) -> list:
+    """Route every library reference to `block_decomposition` through a
+    counter; returns the list of graphs it is called on."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return block_decomposition(g)
+
+    for module in (blockspectra.blocks, blockspectra.spectral, blockspectra.verify):
+        if getattr(module, "block_decomposition", None) is block_decomposition:
+            monkeypatch.setattr(module, "block_decomposition", counted)
+    return calls
 
 
 class TestShapeQueries:
     @pytest.mark.parametrize("name", SHAPES)
-    def test_block_path_shape(self, name):
-        g, expected, _ = SHAPES[name]
-        assert block_path_shape(g) == expected
-
-    @pytest.mark.parametrize("name", SHAPES)
     def test_starlike_profile(self, name):
-        g, _, expected = SHAPES[name]
+        g, expected = SHAPES[name]
         assert starlike_profile(g) == expected
 
-    @pytest.mark.parametrize("query", [
-        is_block_graph, block_path_shape, starlike_profile, check_twins_lemma,
-    ])
+    @pytest.mark.parametrize("query", [is_block_graph, starlike_profile, check_twins_lemma])
     def test_one_decomposition_per_query(self, query, monkeypatch):
-        calls = []
-        original = block_decomposition
-
-        def counted(g):
-            calls.append(g)
-            return original(g)
-
-        for module in (blockspectra.blocks, blockspectra.spectral, blockspectra.verify):
-            monkeypatch.setattr(module, "block_decomposition", counted)
+        calls = _count_decompositions(monkeypatch)
         query(block_starlike(3, 3, [2, 1, 1]))
         assert len(calls) == 1
+
+    def test_queries_on_one_graph_share_its_decomposition(self, monkeypatch):
+        calls = _count_decompositions(monkeypatch)
+        g = block_starlike(3, 3, [2, 1, 1])
+        for query in (is_block_graph, starlike_profile, check_twins_lemma):
+            query(g)
+        assert calls == [g]
+        assert g.decomposition is g.decomposition
+        assert g.decomposition == block_decomposition(g)
 
 
 class TestTrueTwins:

@@ -19,18 +19,17 @@ from blockspectra import (
     classify_structural,
     coalesce,
     complete_graph,
-    delete_vertex_components,
     format_edge_list,
     laplacian,
     path_graph,
     perron_fiedler_basis,
     spectral_summary,
     star_graph,
-    tree_type,
+    vertex_perron_data,
 )
 from blockspectra import spectral
 from blockspectra.cli import main
-from _util import clique_tree
+from _util import clique_tree, delete_vertex_components
 
 
 class TestSpectralSummary:
@@ -96,6 +95,11 @@ class TestClassifyPerron:
         with pytest.raises(ValueError, match="connected"):
             classify_perron(build_graph(4, [(1, 2), (3, 4)]))
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tie_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ValueError, match="tie_rel_tol must be finite and >= 0"):
+            classify_perron(block_path(4, 3), tie_rel_tol=tol)
+
     def test_pathological_tie_tolerance_raises(self):
         # a tolerance of 100% ties every component at every cut vertex
         with pytest.raises(ClassificationError, match="tie"):
@@ -118,25 +122,36 @@ class TestClassifyPerron:
             assert z in data.components[data.maximizers[0]]
 
 
+class TestVertexPerronData:
+    @pytest.mark.parametrize("v", [2, 99])
+    def test_non_cut_vertex_rejected(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a cut vertex"):
+            vertex_perron_data(block_path(4, 3), v)
+
+    @pytest.mark.parametrize("v", [2, 99])
+    def test_perron_basis_at_non_cut_vertex_rejected(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a cut vertex"):
+            perron_fiedler_basis(block_path(4, 3), v, 0.32938)
+
+
 class TestClassifyStructural:
     def test_short_path_by_symmetry(self):
         y = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
-        c = classify_structural(path_graph(3), y, 1.0)
+        (c,) = classify_structural(path_graph(3), y[:, None], 1.0)
         assert c.verdict == "B"
         assert c.zero_vertex == 2
 
     def test_even_chain_mixed_middle_block(self):
         g = block_path(4, 2)
         s = spectral_summary(g)
-        c = classify_structural(g, s.fiedler_basis[:, 0], s.lambda2)
+        (c,) = classify_structural(g, s.fiedler_basis, s.lambda2)
         assert c.verdict == "A"
         assert c.mixed_block == (4, 5, 6, 7)
 
     def test_odd_chain_zero_at_center(self):
         g = block_path(4, 3)
         s = spectral_summary(g)
-        for j in range(s.fiedler_basis.shape[1]):
-            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+        for c in classify_structural(g, s.fiedler_basis, s.lambda2):
             assert c.verdict == "B"
             assert c.zero_vertex == 7
 
@@ -152,32 +167,43 @@ class TestClassifyStructural:
         reference = np.linalg.eigh(laplacian(g))[1][:, 1:r]
         projector = s.fiedler_basis @ s.fiedler_basis.T
         assert np.abs(projector - reference @ reference.T).max() <= 1e-10
-        for j in range(r - 1):
-            c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
-            assert (c.verdict, c.zero_vertex) == ("B", 1)
+        cs = classify_structural(g, s.fiedler_basis, s.lambda2)
+        assert [(c.verdict, c.zero_vertex) for c in cs] == [("B", 1)] * (r - 1)
 
     def test_non_eigenvector_rejected(self):
-        with pytest.raises(ValueError, match="eigenvector"):
-            classify_structural(path_graph(3), np.array([1.0, 1.0, 1.0]), 1.0)
+        basis = np.column_stack([[1.0, 0.0, -1.0], np.ones(3)])  # lambda 1, then 0
+        with pytest.raises(ValueError, match="column 1 is not a lambda2 eigenvector"):
+            classify_structural(path_graph(3), basis, 1.0)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            classify_structural(path_graph(3), np.ones(4), 1.0)
+            classify_structural(path_graph(3), np.ones((4, 1)), 1.0)
+
+    def test_one_dimensional_vector_rejected(self):
+        # one vector y is passed as the 3 x 1 basis y[:, None]
+        with pytest.raises(ValueError, match="shape"):
+            classify_structural(path_graph(3), np.array([1.0, 0.0, -1.0]), 1.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_zero_tolerance_must_be_finite_and_nonnegative(self, tol):
+        g = block_path(4, 3)
+        s = spectral_summary(g)
+        with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+            classify_structural(g, s.fiedler_basis, s.lambda2, zero_tol=tol)
 
     def test_pathological_zero_tolerance_raises(self):
         # a threshold above max|y| blanks the vector: neither case matches
         g = block_path(4, 3)
         s = spectral_summary(g)
         with pytest.raises(ClassificationError):
-            classify_structural(g, s.fiedler_basis[:, 0], s.lambda2, zero_tol=10.0)
+            classify_structural(g, s.fiedler_basis[:, :1], s.lambda2, zero_tol=10.0)
 
     @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 4), (5, 3)])
     def test_agrees_with_perron_route(self, k, p):
         g = block_path(k, p)
         perron_c, _ = classify_perron(g)
         s = spectral_summary(g)
-        for j in range(s.fiedler_basis.shape[1]):
-            structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+        for structural_c in classify_structural(g, s.fiedler_basis, s.lambda2):
             assert structural_c.verdict == perron_c.verdict
             assert structural_c.zero_vertex == perron_c.zero_vertex
 
@@ -218,37 +244,51 @@ class TestPerronFiedlerBasis:
             perron_fiedler_basis(block_path(4, 3), 7, 0.5)
 
 
+def _classify_tree(t):
+    s = spectral_summary(t)
+    return classify_structural(t, s.fiedler_basis, s.lambda2)
+
+
 class TestTreeType:
+    """Trees are the block graphs whose blocks are single edges.  A Fiedler
+    vector of kind 1 (a zero vertex adjacent to support, the characteristic
+    vertex) is structural case B at that vertex; one of kind 2 (an edge whose
+    ends have opposite signs, the characteristic edge) is case A with that
+    edge as the mixed block."""
+
     def test_odd_path(self):
-        t = tree_type(path_graph(3))
-        assert t.kind == 1
-        assert t.characteristic_vertex == 2
+        (c,) = _classify_tree(path_graph(3))
+        assert (c.verdict, c.zero_vertex) == ("B", 2)
 
     def test_even_path(self):
-        t = tree_type(path_graph(4))
-        assert t.kind == 2
-        assert t.characteristic_edge == (2, 3)
+        (c,) = _classify_tree(path_graph(4))
+        assert (c.verdict, c.mixed_block) == ("A", (2, 3))
 
     def test_broom(self):
-        assert tree_type(broom_tree(3, 3)).kind == 2
+        assert [c.verdict for c in _classify_tree(broom_tree(3, 3))] == ["A"]
 
     def test_star_has_zero_hub(self):
-        t = tree_type(star_graph(4))
-        assert t.kind == 1
-        assert t.characteristic_vertex == 1
+        # lambda2 = 1 with multiplicity 3; every basis vector vanishes at the hub
+        cs = _classify_tree(star_graph(4))
+        assert [(c.verdict, c.zero_vertex) for c in cs] == [("B", 1)] * 3
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_path_kind_follows_parity(self, n):
-        expected = 1 if n % 2 == 1 else 2
-        assert tree_type(path_graph(n)).kind == expected
+        # odd paths have a center vertex, even paths a center edge
+        (c,) = _classify_tree(path_graph(n))
+        if n % 2 == 1:
+            assert (c.verdict, c.zero_vertex) == ("B", (n + 1) // 2)
+        else:
+            assert (c.verdict, c.mixed_block) == ("A", (n // 2, n // 2 + 1))
 
-    def test_non_tree_rejected(self):
-        with pytest.raises(ValueError, match="tree"):
-            tree_type(complete_graph(3))
+    def test_single_edge_rejected(self):
+        # the one tree without a cut vertex
+        with pytest.raises(ValueError, match="articulation point"):
+            _classify_tree(path_graph(2))
 
     def test_single_vertex_rejected(self):
-        with pytest.raises(ValueError, match="2 vertices"):
-            tree_type(build_graph(1, []))
+        with pytest.raises(ValueError, match="articulation point"):
+            _classify_tree(build_graph(1, []))
 
 
 def _sorted_tuples(values, length):
@@ -264,8 +304,8 @@ class TestClassifierAgreementGrid:
             g = block_starlike(r, k, list(arms))
             perron_c, _ = classify_perron(g)
             s = spectral_summary(g)
-            for j in range(s.fiedler_basis.shape[1]):
-                structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+            structural = classify_structural(g, s.fiedler_basis, s.lambda2)
+            for j, structural_c in enumerate(structural):
                 assert structural_c.verdict == perron_c.verdict, (r, k, arms, j)
                 assert structural_c.zero_vertex == perron_c.zero_vertex, (r, k, arms, j)
 
@@ -292,8 +332,7 @@ def _assert_routes_agree_on(g, expected):
     perron_c, _ = classify_perron(g)
     assert (perron_c.verdict, perron_c.zero_vertex) == expected
     s = spectral_summary(g)
-    for j in range(s.fiedler_basis.shape[1]):
-        structural_c = classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+    for structural_c in classify_structural(g, s.fiedler_basis, s.lambda2):
         assert (structural_c.verdict, structural_c.zero_vertex) == expected
 
 
@@ -390,8 +429,7 @@ class TestRouteIsolation:
     def test_structural_route_never_computes_perron_values(self, calls):
         g = block_starlike(3, 4, [1, 1, 1])
         s = spectral_summary(g)
-        for j in range(s.multiplicity):
-            classify_structural(g, s.fiedler_basis[:, j], s.lambda2)
+        classify_structural(g, s.fiedler_basis, s.lambda2)
         assert calls["perron_pair"] == 0
         assert calls["eig_sym"] == 1
 
@@ -411,17 +449,20 @@ class TestRouteIsolation:
     def test_components_come_from_the_block_decomposition(
         self, argv, monkeypatch, tmp_path, capsys,
     ):
+        # one block decomposition per request, cached on the graph: the
+        # CLI's block-graph check, both classifiers and the kirkland checks
+        # all take their cut vertices and components from it
         path = tmp_path / "chain.edges"
         path.write_text(format_edge_list(block_path(4, 3)))
         calls = []
 
-        def counted(*args, _original=delete_vertex_components):
-            calls.append(args)
-            return _original(*args)
+        def counted(g, _original=block_decomposition):
+            calls.append(g)
+            return _original(g)
 
-        for module in (blockspectra.graph, spectral, blockspectra.verify):
-            if getattr(module, "delete_vertex_components", None) is delete_vertex_components:
-                monkeypatch.setattr(module, "delete_vertex_components", counted)
+        for module in (blockspectra.blocks, spectral, blockspectra.verify, blockspectra.cli):
+            if getattr(module, "block_decomposition", None) is block_decomposition:
+                monkeypatch.setattr(module, "block_decomposition", counted)
         assert main([a.format(graph=path) for a in argv]) == 0
         capsys.readouterr()
-        assert calls == []
+        assert len(calls) == 1

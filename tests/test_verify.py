@@ -7,7 +7,6 @@ import pytest
 from blockspectra import (
     block_path,
     block_starlike,
-    broom_type_survey,
     build_graph,
     check_coalescence,
     check_kirkland_identities,
@@ -219,21 +218,6 @@ class TestSweep:
         assert [r.status for r in serial] == [r.status for r in parallel]
         for a, b in zip(serial, parallel):
             assert a.measurements == b.measurements
-
-
-class TestBroomSurvey:
-    def test_grid_is_informational(self):
-        reports = broom_type_survey(range(1, 7), range(2, 7))
-        assert len(reports) == 30
-        assert all(r.status == "info" for r in reports)
-        assert all(r.assertions == 0 for r in reports)
-        kinds = {(r.instance["handle"], r.instance["bristles"]): r.measurements["kind"]
-                 for r in reports}
-        # stars (handle 1 and 2) come out kind 1; everything longer was kind 2
-        table = {k: sum(1 for (h, _), kind in kinds.items() if h == k and kind == 2)
-                 for k in range(1, 7)}
-        assert table[1] == 0 and table[2] == 0
-        assert all(table[h] == 5 for h in range(3, 7))
 
 
 class TestGridParsing:
