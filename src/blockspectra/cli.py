@@ -244,9 +244,11 @@ def classify(input, method, zero_tol, tie_tol, out):
     if not is_block_graph(g):
         raise ValueError("classification requires a block graph (every block a clique)")
     payload: dict = {}
+    tolerances: dict = {}  # those of the routes that run
 
     if method in ("perron", "both"):
         classification, report = classify_perron(g, tie_rel_tol=tie_tol)
+        tolerances["tie_tol"] = tie_tol
         perron_verdict = (classification.verdict, classification.zero_vertex)
         payload["perron"] = {
             "verdict": classification.verdict,
@@ -271,6 +273,7 @@ def classify(input, method, zero_tol, tie_tol, out):
         summary = spectral_summary(g)
         results = classify_structural(g, summary.fiedler_basis, summary.lambda2,
                                       zero_tol=zero_tol)
+        tolerances["zero_tol"] = zero_tol
         structural_verdicts = [(result.verdict, result.zero_vertex) for result in results]
         payload["structural"] = {"per_vector": [
             {
@@ -285,15 +288,10 @@ def classify(input, method, zero_tol, tie_tol, out):
     if method == "both":
         verdicts = set(structural_verdicts) | {perron_verdict}
         payload["agreement"] = len(verdicts) == 1
-        if len(verdicts) != 1:
-            text = _envelope(f"graph from {input}",
-                             {"zero_tol": zero_tol, "tie_tol": tie_tol},
-                             "classification", payload)
-            _emit(text, out)
-            raise CheckFailed(f"classifiers disagree: {sorted(verdicts)}")
 
-    _emit(_envelope(f"graph from {input}", {"zero_tol": zero_tol, "tie_tol": tie_tol},
-                    "classification", payload), out)
+    _emit(_envelope(f"graph from {input}", tolerances, "classification", payload), out)
+    if payload.get("agreement") is False:
+        raise CheckFailed(f"classifiers disagree: {sorted(verdicts)}")
 
 
 @cli.command()

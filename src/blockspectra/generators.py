@@ -11,7 +11,7 @@ positional formulas (articulation labels, the odd-chain center label) hold:
   labeled consecutively in arm order.
 """
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graph import Graph, build_graph, coalesce
 
@@ -26,12 +26,10 @@ def block_path(k: int, p: int) -> Graph:
         raise ValueError(f"clique size must be >= 2, got {k}")
     if p < 0:
         raise ValueError(f"articulation count must be >= 0, got {p}")
-    n = k * (p + 1) - p
-    edges = set()
-    for j in range(1, p + 2):
-        lo = (j - 1) * (k - 1) + 1
-        edges.update(combinations(range(lo, lo + k), 2))
-    return build_graph(n, sorted(edges))
+    # consecutive cliques share a vertex but no edge
+    edges = (e for lo in range(1, p * (k - 1) + 2, k - 1)
+             for e in combinations(range(lo, lo + k), 2))
+    return build_graph(k * (p + 1) - p, edges)
 
 
 def center_label(k: int, p: int) -> int:
@@ -68,14 +66,14 @@ def block_starlike(r: int, k: int, arms) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs >= 1 vertex, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(1, n)])
+    return build_graph(n, ((i, i + 1) for i in range(1, n)))
 
 
 def star_graph(q: int) -> Graph:
     """Star with hub 1 and q leaves (q+1 vertices)."""
     if q < 1:
         raise ValueError(f"star needs >= 1 leaf, got {q}")
-    return build_graph(q + 1, [(1, i) for i in range(2, q + 2)])
+    return build_graph(q + 1, ((1, i) for i in range(2, q + 2)))
 
 
 def complete_graph(k: int) -> Graph:
@@ -93,6 +91,6 @@ def broom_tree(handle: int, bristles: int) -> Graph:
         raise ValueError(f"handle length must be >= 1, got {handle}")
     if bristles < 1:
         raise ValueError(f"bristle count must be >= 1, got {bristles}")
-    edges = [(i, i + 1) for i in range(1, handle)]
-    edges += [(handle, handle + 1 + b) for b in range(bristles)]
+    edges = chain(((i, i + 1) for i in range(1, handle)),
+                  ((handle, handle + 1 + b) for b in range(bristles)))
     return build_graph(handle + bristles, edges)

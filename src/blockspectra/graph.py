@@ -9,6 +9,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
+DESK_SCALE_LIMIT = 400
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -78,10 +80,13 @@ def build_graph(n: int, edges, weights=None) -> Graph:
     `edges` is an iterable of vertex pairs; `weights` an optional mapping from
     a pair to a strictly positive weight (unspecified edges default to 1.0).
     Raises ValueError for self-loops, duplicate or out-of-range edges, and
-    non-positive weights.
+    non-positive weights, and for more than DESK_SCALE_LIMIT vertices before
+    reading any edge.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > DESK_SCALE_LIMIT:
+        raise ValueError(f"graph has {n} vertices, above the desk-scale cap {DESK_SCALE_LIMIT}")
     normalized: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for pair in edges:

@@ -3,7 +3,8 @@
 numpy supplies array storage and vector arithmetic only; the eigensolver
 (Householder tridiagonalization plus implicit QL), the SPD factorization
 (Cholesky), and the dominant-eigenpair iteration are implemented here.
-Everything targets small dense matrices (desk scale, n <= a few hundred).
+Everything targets small dense matrices (desk scale: graph.build_graph
+accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
 The two classifiers draw on disjoint parts of this module: the structural
 route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair

@@ -64,6 +64,26 @@ class TestGen:
         assert code == 0
         assert parse_edge_list(out).n == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["path", "-n", "401"],
+        ["block-path", "-k", "2", "-p", "399"],
+    ])
+    def test_above_the_size_cap(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 1
+        assert out == ""
+        assert "desk-scale cap 400" in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "classify"])
+def test_input_above_the_size_cap(capsys, tmp_path, command):
+    path = tmp_path / "path401.edges"
+    path.write_text("401 400\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 401)))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert "graph has 401 vertices, above the desk-scale cap 400" in err
+
 
 @pytest.fixture
 def chain_file(tmp_path):
@@ -172,6 +192,22 @@ class TestClassify:
         assert vectors[0]["verdict"] == "B"
         assert vectors[0]["zero_vertex"] == 7
 
+    @pytest.mark.parametrize("method,unused_flag,echoed", [
+        ("structural", "--tie-tol", {"zero_tol": 1e-7}),
+        ("perron", "--zero-tol", {"tie_tol": 1e-9}),
+    ])
+    def test_echoes_only_the_applied_tolerance(self, capsys, chain_file, method,
+                                               unused_flag, echoed):
+        code, out, _ = run(capsys, "classify", chain_file, "--method", method,
+                           unused_flag, "nan")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["tolerances"] == echoed
+
     def test_clique_rejected(self, capsys, tmp_path):
         from blockspectra import complete_graph
         p = tmp_path / "k4.edges"
@@ -273,6 +309,27 @@ class TestVerify:
                            "-r", "3", "-k", "4", "--arms", "3,2,1")
         assert code == 0
         assert json.loads(out)[0]["status"] == "pass"
+
+    def test_starlike_sweep_over_arm_triples(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "starlike-A",
+                             "--sweep", "k=3,p1=0..3,p2=0..3,p3=0..3")
+        assert code == 0
+        assert "7 pass, 0 fail, 57 skip, 0 error" in err
+        reports = json.loads(out)
+        assert len(reports) == 64
+        # 44 of the 64 triples are unsorted; block_starlike rejects each
+        unsorted = [r for r in reports if "p1" in r["instance"]]
+        assert len(unsorted) == 44
+        for r in unsorted:
+            p1, p2, p3 = (r["instance"][key] for key in ("p1", "p2", "p3"))
+            assert not p1 >= p2 >= p3
+            assert r["status"] == "skip"
+            assert r["failures"] == [
+                f"arm lengths must be sorted non-increasing, got {[p1, p2, p3]}"
+            ]
+        assert {r["instance"]["arms"] for r in reports if r["status"] == "pass"} == {
+            "1,0,0", "2,1,0", "2,1,1", "3,1,1", "3,2,0", "3,2,1", "3,2,2",
+        }
 
     def test_stdin_default_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify")

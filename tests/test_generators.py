@@ -47,6 +47,11 @@ class TestBlockPath:
         with pytest.raises(ValueError):
             block_path(3, -1)
 
+    def test_size_cap(self):
+        assert block_path(2, 398).n == 400
+        with pytest.raises(ValueError, match="desk-scale cap 400"):
+            block_path(2, 399)
+
     @pytest.mark.parametrize("k,p", [(2, 4), (3, 3), (4, 2), (5, 5), (6, 1)])
     def test_blocks_are_p_plus_1_cliques_of_size_k(self, k, p):
         g = block_path(k, p)

@@ -23,6 +23,7 @@ from blockspectra import (
     starlike_profile,
     true_twin_partition,
 )
+from blockspectra.graph import DESK_SCALE_LIMIT
 from _util import (
     articulation_oracle,
     clique_tree,
@@ -87,6 +88,14 @@ class TestBuildGraph:
         assert g.weight(1, 2) == 1.0
         assert g.weight(2, 3) == 2.5
         assert g.weight(3, 2) == 2.5
+
+    def test_size_cap_checked_before_any_edge_is_read(self):
+        def unreadable():
+            raise AssertionError("edges drawn from an oversized graph")
+            yield (1, 2)
+
+        with pytest.raises(ValueError, match="graph has 401 vertices, above the desk-scale cap 400"):
+            build_graph(DESK_SCALE_LIMIT + 1, unreadable())
 
 
 class TestBlockDecomposition:

@@ -205,6 +205,13 @@ class TestSweep:
         assert reports[0].status == "skip"
         assert "desk-scale" in reports[0].failures[0]
 
+    @pytest.mark.parametrize("theorem", ["kirkland", "twins"])
+    def test_oversized_instance_skips_before_building(self, theorem):
+        report = run_theorem(theorem, {"k": 1500, "p": 1})
+        assert report.status == "skip"
+        assert report.failures == ("graph has 2999 vertices, above the desk-scale cap 400",)
+        assert report.elapsed_s < 1.0
+
     def test_run_theorem_missing_parameter(self):
         report = run_theorem("path-parity", {"k": 4})
         assert report.status == "error"
