@@ -69,6 +69,7 @@ from .verify import (
     check_starlike_case_a,
     check_starlike_equal_arms,
     check_twins_lemma,
+    parse_arms,
     parse_grid,
     reports_to_csv,
     reports_to_json,
@@ -117,6 +118,7 @@ __all__ = [
     "is_block_graph",
     "is_connected",
     "laplacian",
+    "parse_arms",
     "parse_edge_list",
     "parse_grid",
     "path_graph",

@@ -42,6 +42,7 @@ from .spectral import (
 )
 from .verify import (
     THEOREM_RUNNERS,
+    parse_arms,
     parse_grid,
     reports_to_csv,
     reports_to_json,
@@ -164,8 +165,7 @@ def gen_block_path(k, p, fmt, out):
 @_OUT
 def gen_block_starlike(r, k, arms, fmt, out):
     """r clique chains joined at a shared hub vertex."""
-    arm_list = [int(a) for a in arms.split(",") if a != ""]
-    _emit_graph(block_starlike(r, k, arm_list), fmt, out)
+    _emit_graph(block_starlike(r, k, parse_arms(arms)), fmt, out)
 
 
 @gen.command("path")

@@ -117,6 +117,12 @@ def _write_json(obj, parts: list[str], newline: str) -> None:
         parts.append(text)
         return
     if isinstance(obj, (list, tuple)):
+        # a flat list of scalars (a spectrum, an eigenvector) in one join
+        texts = [_json_scalar(value) for value in obj]
+        if texts and None not in texts:
+            inner = newline + "  "
+            parts.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
         brackets, items = "[]", [("", value) for value in obj]
     elif isinstance(obj, dict):
         brackets, items = "{}", [(_json_key(key) + ": ", value)

@@ -11,9 +11,16 @@ positional formulas (articulation labels, the odd-chain center label) hold:
   labeled consecutively in arm order.
 """
 
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
-from .graph import Graph, build_graph, coalesce
+from .graph import Graph, build_graph
+
+
+def _chain_edges(labels, k: int):
+    """Edges of the cliques of size k along `labels`, consecutive cliques
+    sharing one label."""
+    return (e for lo in range(0, len(labels) - 1, k - 1)
+            for e in combinations(labels[lo:lo + k], 2))
 
 
 def block_path(k: int, p: int) -> Graph:
@@ -26,10 +33,8 @@ def block_path(k: int, p: int) -> Graph:
         raise ValueError(f"clique size must be >= 2, got {k}")
     if p < 0:
         raise ValueError(f"articulation count must be >= 0, got {p}")
-    # consecutive cliques share a vertex but no edge
-    edges = (e for lo in range(1, p * (k - 1) + 2, k - 1)
-             for e in combinations(range(lo, lo + k), 2))
-    return build_graph(k * (p + 1) - p, edges)
+    n = k * (p + 1) - p
+    return build_graph(n, _chain_edges(range(1, n + 1), k))
 
 
 def center_label(k: int, p: int) -> int:
@@ -55,12 +60,15 @@ def block_starlike(r: int, k: int, arms) -> Graph:
         raise ValueError("arm lengths must be >= 0")
     if any(arms[i] < arms[i + 1] for i in range(len(arms) - 1)):
         raise ValueError(f"arm lengths must be sorted non-increasing, got {arms}")
-    # identifying vertex 1 of every chain makes the shared hub vertex 1, with
-    # each arm's remaining vertices labeled consecutively in arm order
-    g = block_path(k, arms[0])
-    for p in arms[1:]:
-        g = coalesce(g, 1, block_path(k, p), 1)
-    return g
+    if k < 2:
+        raise ValueError(f"clique size must be >= 2, got {k}")
+    # arm i's chain runs over the hub and the labels from starts[i] on, as
+    # coalescing the arms' chains at their vertex 1 would number them
+    sizes = [p * (k - 1) + k - 1 for p in arms]
+    starts = list(accumulate(sizes, initial=2))
+    edges = (e for size, start in zip(sizes, starts)
+             for e in _chain_edges([1, *range(start, start + size)], k))
+    return build_graph(starts[-1] - 1, edges)
 
 
 def path_graph(n: int) -> Graph:

@@ -8,8 +8,9 @@ accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
 The two classifiers draw on disjoint parts of this module: the structural
 route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair
-(which solves each block's grounded Laplacian for its resistances) and on
-`perron_pair`, which iterates with the bottleneck matrices built from them.
+(which solves the grounded Laplacian of each distinct block for its
+resistances) and on `perron_pair`, which iterates with the bottleneck
+matrices built from them.
 
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them

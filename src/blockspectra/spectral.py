@@ -22,10 +22,11 @@ minus a vertex come from that tree (`BlockDecomposition.components_without`),
 for both routes.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
-vertices, so R comes from one pass over the rooted tree, solving only each
-block's own grounded Laplacian.  The structural route alone assembles the Laplacian and
-calls the eigensolver, so the two classifiers share no numerical machinery,
-which is the point: each one cross-checks the other.
+vertices, so R comes from one pass over the rooted tree, solving only the
+grounded Laplacian of each distinct block, once.  The structural route alone
+assembles the Laplacian and calls the eigensolver, so the two classifiers
+share no numerical machinery, which is the point: each one cross-checks the
+other.
 """
 
 import itertools
@@ -162,12 +163,17 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     each of its vertices R_block[., a] further from every vertex placed
     before it than a is.  Vertex 1 is placed first, then each block in the
     rooted order, which places a before the block hanging from it.
+
+    Each distinct block is solved once: blocks with equal local Laplacians
+    (every block of a clique chain) share one factorization.  The memo lives
+    for this call only.
     """
     res = np.zeros((g.n, g.n))
     placed = np.zeros(1, dtype=int)  # vertex 1
+    solved: dict[bytes, np.ndarray] = {}
     for i, a in dec.rooted:
         block = dec.blocks[i]
-        local = _block_resistances(g, block)
+        local = _block_resistances(g, block, solved)
         fresh = np.array([t for t, u in enumerate(block) if u != a])
         idx = np.array(block)[fresh] - 1
         cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
@@ -178,20 +184,31 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     return res
 
 
-def _block_resistances(g: Graph, block: tuple[int, ...]) -> np.ndarray:
-    """Effective resistances among the vertices of one block, from the
-    inverse of its Laplacian grounded at the block's first vertex."""
+def _block_resistances(
+    g: Graph, block: tuple[int, ...], solved: dict[bytes, np.ndarray]
+) -> np.ndarray:
+    """Effective resistances among the vertices of one block, in block order,
+    from the inverse of its Laplacian grounded at the block's first vertex.
+
+    `solved` maps the bytes of each local Laplacian already solved to its
+    result.  The bytes fix the block's size, edges and weights, and equal
+    inputs take the same arithmetic, so a hit returns exactly what a fresh
+    solve would.
+    """
     s = len(block)
     lap = np.zeros((s, s))
     for (i, u), (j, w) in itertools.combinations(enumerate(block), 2):
         if g.has_edge(u, w):
             lap[i, j] = lap[j, i] = -g.weight(u, w)
     np.fill_diagonal(lap, -lap.sum(axis=1))
-    green = np.zeros((s, s))
-    green[1:, 1:] = cholesky_solve(cholesky_factor(lap[1:, 1:]), np.eye(s - 1))
-    d = green.diagonal()
-    # G + G^T is exactly symmetric where the solved G need not be
-    return (d[:, None] + d) - (green + green.T)
+    key = lap.tobytes()
+    if key not in solved:
+        green = np.zeros((s, s))
+        green[1:, 1:] = cholesky_solve(cholesky_factor(lap[1:, 1:]), np.eye(s - 1))
+        d = green.diagonal()
+        # G + G^T is exactly symmetric where the solved G need not be
+        solved[key] = (d[:, None] + d) - (green + green.T)
+    return solved[key]
 
 
 def classify_perron(

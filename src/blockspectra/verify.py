@@ -186,7 +186,7 @@ def check_starlike_equal_arms(r: int, k: int, p: int) -> TheoremReport:
     return rec.report()
 
 
-def check_starlike_case_a(r: int, k: int, arms) -> TheoremReport:
+def check_starlike_case_a(r: int, k: int, arms, instance: dict | None = None) -> TheoremReport:
     """A strictly longest arm no longer than the second plus third plus one
     forces case A, with the longest arm the unique maximizer at the hub.
 
@@ -194,7 +194,7 @@ def check_starlike_case_a(r: int, k: int, arms) -> TheoremReport:
     still computed and recorded for exploration.
     """
     arms = list(arms)
-    rec = _Recorder("starlike-A", {"r": r, "k": k, "arms": ",".join(map(str, arms))})
+    rec = _Recorder("starlike-A", instance or {"r": r, "k": k, "arms": ",".join(map(str, arms))})
     g = block_starlike(r, k, arms)
     classification, report = classify_perron(g)
     rec.measure("verdict", classification.verdict)
@@ -353,7 +353,7 @@ def _instance_graph(inst) -> Graph:
     """The starlike graph of `r`, `k`, `arms` if arms are given, else the
     chain of `k`, `p`."""
     if "arms" in inst:
-        return block_starlike(inst["r"], inst["k"], _parse_arms(inst["arms"]))
+        return block_starlike(inst["r"], inst["k"], parse_arms(inst["arms"]))
     return block_path(inst["k"], inst["p"])
 
 
@@ -367,10 +367,10 @@ def _run_equal_arms(inst):
 
 def _run_starlike_a(inst):
     if "arms" in inst:
-        arms = _parse_arms(inst["arms"])
+        arms = parse_arms(inst["arms"])
     else:
         arms = [inst["p1"], inst["p2"], inst["p3"]]
-    return check_starlike_case_a(inst.get("r", len(arms)), inst["k"], arms)
+    return check_starlike_case_a(inst.get("r", len(arms)), inst["k"], arms, instance=inst)
 
 
 def _run_coalescence(inst):
@@ -379,12 +379,6 @@ def _run_coalescence(inst):
 
 def _run_kirkland(inst):
     return check_kirkland_identities(_instance_graph(inst), instance=inst)
-
-
-def _parse_arms(arms):
-    if isinstance(arms, str):
-        return [int(a) for a in arms.split(",") if a != ""]
-    return list(arms)
 
 
 THEOREM_RUNNERS = {
@@ -480,6 +474,14 @@ def parse_grid(text: str) -> dict:
             except ValueError:
                 raise ValueError(f"grid value in {part!r} must be an integer") from None
     return grid
+
+
+def parse_arms(arms) -> list[int]:
+    """Arm lengths from a comma-separated string such as "3,2,1" (empty
+    terms ignored), or from any iterable of lengths."""
+    if isinstance(arms, str):
+        return [int(a) for a in arms.split(",") if a != ""]
+    return list(arms)
 
 
 def reports_to_json(reports) -> str:

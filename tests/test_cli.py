@@ -317,18 +317,19 @@ class TestVerify:
         assert "7 pass, 0 fail, 57 skip, 0 error" in err
         reports = json.loads(out)
         assert len(reports) == 64
+        # passes and skips alike echo their grid point
+        assert all(set(r["instance"]) == {"k", "p1", "p2", "p3"} for r in reports)
+        arms = [tuple(r["instance"][key] for key in ("p1", "p2", "p3")) for r in reports]
         # 44 of the 64 triples are unsorted; block_starlike rejects each
-        unsorted = [r for r in reports if "p1" in r["instance"]]
+        unsorted = [(r, a) for r, a in zip(reports, arms) if not a[0] >= a[1] >= a[2]]
         assert len(unsorted) == 44
-        for r in unsorted:
-            p1, p2, p3 = (r["instance"][key] for key in ("p1", "p2", "p3"))
-            assert not p1 >= p2 >= p3
+        for r, a in unsorted:
             assert r["status"] == "skip"
             assert r["failures"] == [
-                f"arm lengths must be sorted non-increasing, got {[p1, p2, p3]}"
+                f"arm lengths must be sorted non-increasing, got {list(a)}"
             ]
-        assert {r["instance"]["arms"] for r in reports if r["status"] == "pass"} == {
-            "1,0,0", "2,1,0", "2,1,1", "3,1,1", "3,2,0", "3,2,1", "3,2,2",
+        assert {a for r, a in zip(reports, arms) if r["status"] == "pass"} == {
+            (1, 0, 0), (2, 1, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2),
         }
 
     def test_stdin_default_usage_error(self, capsys):

@@ -112,6 +112,11 @@ class TestJson:
         {"a": {}, "b": [], "c": [{}]},
         (1, [2.0, float("nan"), float("-inf")], ("x",)),
         "\u00e9\u2603 \"quoted\"\n",
+        [],
+        [[]],
+        [1, "a", None, True, [2.5, {}], {"k": [False]}, -3],
+        (0.5, -1, "t", None),
+        {"v": [float("nan"), -0.0, 0.0, 1e-300, float("inf")]},
     ])
     def test_matches_json_dumps_on_keys_tuples_and_escapes(self, obj):
         assert format_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

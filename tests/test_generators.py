@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,20 @@ class TestBlockStarlike:
             1,
         )
         assert nx.is_isomorphic(to_networkx(direct), to_networkx(shuffled))
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_labels_match_the_coalesced_chains(self, r, k):
+        # the documented labeling: arm chains glued at their vertex 1, in order
+        for arms in combinations_with_replacement(range(4, -1, -1), r):
+            chained = block_path(k, arms[0])
+            for p in arms[1:]:
+                chained = coalesce(chained, 1, block_path(k, p), 1)
+            assert block_starlike(r, k, arms) == chained, arms
+
+    def test_small_k_rejected(self):
+        with pytest.raises(ValueError, match="clique size"):
+            block_starlike(3, 1, [1, 1, 1])
 
     def test_unsorted_arms_rejected(self):
         with pytest.raises(ValueError, match="non-increasing"):

@@ -399,6 +399,55 @@ class TestBottleneckMatrices:
         assert not res.diagonal().any()
 
 
+class TestDistinctBlockSolves:
+    """`_resistances` factors each distinct block Laplacian once per call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2, 5), min_size=2, max_size=8),
+        st.lists(st.integers(0, 60), min_size=7, max_size=7),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=80, max_size=80),
+    )
+    def test_shared_solves_match_the_pseudoinverse(self, sizes, attach, weights):
+        # few weights and sizes, so equal blocks, weighted ones included, recur
+        g = clique_tree(sizes, attach)
+        g = build_graph(g.n, g.edges, dict(zip(g.edges, weights)))
+        dec = block_decomposition(g)
+        res = spectral._resistances(g, dec)
+        pinv = np.linalg.pinv(laplacian(g))
+        d = pinv.diagonal()
+        oracle = d[:, None] + d[None, :] - 2 * pinv
+        assert np.abs(res - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        for block in dec.blocks:
+            # within a block, R is exactly the block's own fresh solve
+            idx = np.array(block) - 1
+            fresh = spectral._block_resistances(g, block, {})
+            assert np.array_equal(res[np.ix_(idx, idx)], fresh)
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        calls = []
+
+        def counted(m, _original=spectral.cholesky_factor):
+            calls.append(m.shape)
+            return _original(m)
+
+        monkeypatch.setattr(spectral, "cholesky_factor", counted)
+        return calls
+
+    def test_equal_blocks_factor_once(self, factorizations):
+        classify_perron(block_path(4, 20))
+        assert factorizations == [(3, 3)]
+
+    def test_one_reweighted_block_factors_twice(self, factorizations):
+        g = block_path(4, 20)
+        # block 6 spans labels 16..19; its weights double, the other 20 stay 1
+        heavy = {(u, v): 2.0 for u, v in g.edges if 16 <= u and v <= 19}
+        assert len(heavy) == 6
+        classify_perron(build_graph(g.n, g.edges, heavy))
+        assert factorizations == [(3, 3), (3, 3)]
+
+
 class TestRouteIsolation:
     """One eigendecomposition per request; the Perron route never calls the
     eigensolver and the structural route never computes Perron values."""

@@ -15,6 +15,7 @@ from blockspectra import (
     check_starlike_equal_arms,
     check_twins_lemma,
     complete_graph,
+    parse_arms,
     parse_grid,
     path_graph,
     reports_to_csv,
@@ -119,6 +120,20 @@ class TestStarlikeCaseAChecker:
     def test_equal_arms_hypothesis_violation(self):
         report = check_starlike_case_a(3, 3, [2, 2, 2])
         assert report.status == "skip"
+
+    @pytest.mark.parametrize("instance, status", [
+        ({"k": 3, "p1": 2, "p2": 1, "p3": 1}, "pass"),
+        ({"k": 3, "p1": 3, "p2": 1, "p3": 0}, "skip"),  # outside the hypothesis
+        ({"r": 3, "k": 3, "arms": "2,1,1"}, "pass"),
+    ])
+    def test_report_echoes_the_instance_given(self, instance, status):
+        report = run_theorem("starlike-A", instance)
+        assert report.status == status
+        assert report.instance == instance
+
+    def test_report_names_the_arms_without_an_instance(self):
+        report = check_starlike_case_a(3, 3, (2, 1, 1))
+        assert report.instance == {"r": 3, "k": 3, "arms": "2,1,1"}
 
 
 class TestCoalescenceChecker:
@@ -246,6 +261,13 @@ class TestGridParsing:
             parse_grid("k=a..b")
         with pytest.raises(ValueError):
             parse_grid("k=6..2")
+
+    def test_arms(self):
+        assert parse_arms("3,2,1") == [3, 2, 1]
+        assert parse_arms("3,,1,") == [3, 1]  # empty terms are ignored
+        assert parse_arms((2, 1)) == [2, 1]
+        with pytest.raises(ValueError):
+            parse_arms("3,x")
 
 
 class TestReportSerialization:
