@@ -33,12 +33,9 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    TwinPartition,
     build_graph,
     center,
     coalesce,
-    eccentricities,
-    is_connected,
     true_twin_partition,
 )
 from .linalg import (
@@ -91,7 +88,6 @@ __all__ = [
     "SpectralSummary",
     "StarlikeProfile",
     "TheoremReport",
-    "TwinPartition",
     "VertexPerronData",
     "block_decomposition",
     "block_path",
@@ -110,13 +106,11 @@ __all__ = [
     "classify_structural",
     "coalesce",
     "complete_graph",
-    "eccentricities",
     "eig_sym",
     "format_dot",
     "format_edge_list",
     "format_json",
     "is_block_graph",
-    "is_connected",
     "laplacian",
     "parse_arms",
     "parse_edge_list",

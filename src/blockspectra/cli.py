@@ -8,17 +8,10 @@ parameter sweep).
 Exit codes: 0 success / all assertions pass, 1 usage or input error,
 2 assertion failure or classifier disagreement, 3 numerical non-convergence.
 JSON output is stable-ordered (sorted keys) so runs can be diffed.
-
-Every echo names its stream (`file=sys.stdout` or `file=sys.stderr`).
-Without one, click caches each stream object it sees in a weak-key map whose
-value refers back to the key, so a buffer that an in-process caller swapped
-in for stdout or stderr would never be freed.  click's own `--version` and
-`--help` callbacks echo without one, so both are replaced here.
 """
 
+import argparse
 import sys
-
-import click
 
 from . import __version__
 from .blocks import is_block_graph
@@ -60,13 +53,12 @@ class CheckFailed(Exception):
     """An assertion-level failure that should exit with code 2."""
 
 
-def _envelope(instance: str, tolerances: dict, payload_kind: str, payload) -> str:
-    ctx = click.get_current_context(silent=True)
-    command = ctx.command_path if ctx is not None else "blockspectra"
+def _envelope(command: str, instance: str, tolerances: dict, payload_kind: str,
+              payload) -> str:
     doc = {
         "tool": "blockspectra",
         "version": __version__,
-        "command": command,
+        "command": f"blockspectra {command}",
         "instance": instance,
         "tolerances": tolerances,
         payload_kind: payload,
@@ -76,7 +68,8 @@ def _envelope(instance: str, tolerances: dict, payload_kind: str, payload) -> st
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
-        click.echo(text, nl=False, file=sys.stdout)
+        # flushed, so it precedes any later stderr line in a shared pipe
+        print(text, end="", flush=True)
     else:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -94,123 +87,52 @@ def _read_graph(path: str):
     return parse_edge_list(text)
 
 
-def _show_version(ctx, param, value):
-    if value and not ctx.resilient_parsing:
-        click.echo(f"blockspectra, version {__version__}", color=ctx.color, file=sys.stdout)
-        ctx.exit()
+# gen families: (help, options as (flag, type, help), builder).  The builders
+# look the generators up when called, so a patched module global is honoured.
+_FAMILIES = {
+    "block-path": (
+        "Chain of p+1 cliques of size k.",
+        (("-k", int, "Clique size (>= 2)."), ("-p", int, "Articulation count (>= 0).")),
+        lambda a: block_path(a.k, a.p),
+    ),
+    "block-starlike": (
+        "r clique chains joined at a shared hub vertex.",
+        (("-r", int, "Arm count (>= 2)."), ("-k", int, "Clique size (>= 2)."),
+         ("--arms", str, "Comma-separated arm lengths, sorted non-increasing.")),
+        lambda a: block_starlike(a.r, a.k, parse_arms(a.arms)),
+    ),
+    "path": (
+        "Path graph on n vertices.",
+        (("-n", int, "Vertex count (>= 1)."),),
+        lambda a: path_graph(a.n),
+    ),
+    "star": (
+        "Star with q leaves (q+1 vertices).",
+        (("-q", int, "Leaf count (>= 1)."),),
+        lambda a: star_graph(a.q),
+    ),
+    "complete": (
+        "Complete graph on k vertices.",
+        (("-k", int, "Vertex count (>= 1)."),),
+        lambda a: complete_graph(a.k),
+    ),
+    "broom": (
+        "Path with pendant vertices attached to its last vertex.",
+        (("--handle", int, "Handle path length (>= 1 vertices)."),
+         ("--bristles", int, "Pendant count (>= 1).")),
+        lambda a: broom_tree(a.handle, a.bristles),
+    ),
+}
 
 
-def _show_help(ctx, param, value):
-    if value and not ctx.resilient_parsing:
-        click.echo(ctx.get_help(), color=ctx.color, file=sys.stdout)
-        ctx.exit()
+def gen(args) -> None:
+    g = args.build(args)
+    _emit(format_dot(g) if args.format == "dot" else format_edge_list(g), args.out)
 
 
-class _Command(click.Command):
-    """A command whose `--help` echoes to the current sys.stdout."""
-
-    def get_help_option(self, ctx):
-        option = super().get_help_option(ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(_Command, click.Group):
-    command_class = _Command
-    group_class = type  # subgroups are _Group too
-
-
-@click.group(cls=_Group)
-@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
-              callback=_show_version, help="Show the version and exit.")
-def cli():
-    """Clique-chain graph families, their algebraic connectivity, and
-    case A/B classification of their Fiedler vectors."""
-
-
-@cli.group()
-def gen():
-    """Generate a graph family member."""
-
-
-def _emit_graph(g, fmt: str, out: str | None) -> None:
-    text = format_dot(g) if fmt == "dot" else format_edge_list(g)
-    _emit(text, out)
-
-
-_FORMAT = click.option(
-    "--format", "fmt", type=click.Choice(["edgelist", "dot"]), default="edgelist",
-    show_default=True, help="Output format.",
-)
-_OUT = click.option("--out", default=None, help="Write to a file instead of stdout.")
-
-
-@gen.command("block-path")
-@click.option("-k", type=int, required=True, help="Clique size (>= 2).")
-@click.option("-p", type=int, required=True, help="Articulation count (>= 0).")
-@_FORMAT
-@_OUT
-def gen_block_path(k, p, fmt, out):
-    """Chain of p+1 cliques of size k."""
-    _emit_graph(block_path(k, p), fmt, out)
-
-
-@gen.command("block-starlike")
-@click.option("-r", type=int, required=True, help="Arm count (>= 2).")
-@click.option("-k", type=int, required=True, help="Clique size (>= 2).")
-@click.option("--arms", required=True,
-              help="Comma-separated arm lengths, sorted non-increasing.")
-@_FORMAT
-@_OUT
-def gen_block_starlike(r, k, arms, fmt, out):
-    """r clique chains joined at a shared hub vertex."""
-    _emit_graph(block_starlike(r, k, parse_arms(arms)), fmt, out)
-
-
-@gen.command("path")
-@click.option("-n", type=int, required=True, help="Vertex count (>= 1).")
-@_FORMAT
-@_OUT
-def gen_path(n, fmt, out):
-    """Path graph on n vertices."""
-    _emit_graph(path_graph(n), fmt, out)
-
-
-@gen.command("star")
-@click.option("-q", type=int, required=True, help="Leaf count (>= 1).")
-@_FORMAT
-@_OUT
-def gen_star(q, fmt, out):
-    """Star with q leaves (q+1 vertices)."""
-    _emit_graph(star_graph(q), fmt, out)
-
-
-@gen.command("complete")
-@click.option("-k", type=int, required=True, help="Vertex count (>= 1).")
-@_FORMAT
-@_OUT
-def gen_complete(k, fmt, out):
-    """Complete graph on k vertices."""
-    _emit_graph(complete_graph(k), fmt, out)
-
-
-@gen.command("broom")
-@click.option("--handle", type=int, required=True, help="Handle path length (>= 1 vertices).")
-@click.option("--bristles", type=int, required=True, help="Pendant count (>= 1).")
-@_FORMAT
-@_OUT
-def gen_broom(handle, bristles, fmt, out):
-    """Path with pendant vertices attached to its last vertex."""
-    _emit_graph(broom_tree(handle, bristles), fmt, out)
-
-
-@cli.command()
-@click.argument("input", default="-")
-@click.option("--out", default=None, help="Write JSON to a file instead of stdout.")
-def spectrum(input, out):
+def spectrum(args) -> None:
     """Eigenvalues, multiplicity, and Fiedler basis of a graph file."""
-    g = _read_graph(input)
+    g = _read_graph(args.input)
     summary = spectral_summary(g)
     payload = {
         "n": g.n,
@@ -225,21 +147,14 @@ def spectrum(input, out):
         ],
     }
     tolerances = {"eig_tol": QL_DEFLATION_TOL}
-    _emit(_envelope(f"graph from {input}", tolerances, "spectrum", payload), out)
+    _emit(_envelope("spectrum", f"graph from {args.input}", tolerances, "spectrum",
+                    payload), args.out)
 
 
-@cli.command()
-@click.argument("input", default="-")
-@click.option("--method", type=click.Choice(["structural", "perron", "both"]),
-              default="both", show_default=True)
-@click.option("--zero-tol", type=float, default=ZERO_REL_TOL, show_default=True,
-              help="Relative threshold below which an entry counts as zero.")
-@click.option("--tie-tol", type=float, default=TIE_REL_TOL, show_default=True,
-              help="Relative tolerance for tied Perron values.")
-@click.option("--out", default=None, help="Write JSON to a file instead of stdout.")
-def classify(input, method, zero_tol, tie_tol, out):
+def classify(args) -> None:
     """Case A/B classification of a connected block graph with a cut vertex."""
-    g = _read_graph(input)
+    method, zero_tol, tie_tol = args.method, args.zero_tol, args.tie_tol
+    g = _read_graph(args.input)
     # the library rejects a disconnected graph or one without a cut vertex
     if not is_block_graph(g):
         raise ValueError("classification requires a block graph (every block a clique)")
@@ -289,58 +204,38 @@ def classify(input, method, zero_tol, tie_tol, out):
         verdicts = set(structural_verdicts) | {perron_verdict}
         payload["agreement"] = len(verdicts) == 1
 
-    _emit(_envelope(f"graph from {input}", tolerances, "classification", payload), out)
+    _emit(_envelope("classify", f"graph from {args.input}", tolerances,
+                    "classification", payload), args.out)
     if payload.get("agreement") is False:
         raise CheckFailed(f"classifiers disagree: {sorted(verdicts)}")
 
 
-@cli.command()
-@click.option("--theorem", "theorem", required=True,
-              type=click.Choice(sorted(THEOREM_RUNNERS)),
-              help="Which identity to check.")
-@click.option("-k", type=int, default=None, help="Clique size.")
-@click.option("-p", type=int, default=None, help="Articulation count / arm length.")
-@click.option("-r", type=int, default=None, help="Arm count.")
-@click.option("--arms", default=None, help="Comma-separated arm lengths.")
-@click.option("--sweep", "sweep_grid", default=None,
-              help='Parameter grid such as "k=2..6,p=1..8"; overrides single-instance options.')
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for sweeps; report order is unaffected.")
-@click.option("--json", "json_out", default=None, help="Write the JSON report to a file.")
-@click.option("--csv", "csv_out", default=None, help="Write the CSV report to a file.")
-def verify(theorem, k, p, r, arms, sweep_grid, jobs, json_out, csv_out):
+def verify(args) -> None:
     """Check one identity on an instance or over a sweep; exit 0 only if every
     evaluated assertion passed."""
-    if sweep_grid is not None:
-        grid = parse_grid(sweep_grid)
-        reports = sweep(grid, [theorem], jobs=max(1, jobs))
+    if args.sweep_grid is not None:
+        grid = parse_grid(args.sweep_grid)
+        reports = sweep(grid, [args.theorem], jobs=args.jobs)
     else:
-        instance = {}
-        if k is not None:
-            instance["k"] = k
-        if p is not None:
-            instance["p"] = p
-        if r is not None:
-            instance["r"] = r
-        if arms is not None:
-            instance["arms"] = arms
+        instance = {key: getattr(args, key) for key in ("k", "p", "r", "arms")
+                    if getattr(args, key) is not None}
         if not instance:
             raise ValueError("provide instance parameters or --sweep")
-        reports = [run_theorem(theorem, instance)]
+        reports = [run_theorem(args.theorem, instance)]
 
     text = reports_to_json(reports)
-    if json_out:
-        with open(json_out, "w", encoding="ascii") as fh:
+    if args.json_out:
+        with open(args.json_out, "w", encoding="ascii") as fh:
             fh.write(text)
-    if csv_out:
-        with open(csv_out, "w", encoding="ascii") as fh:
+    if args.csv_out:
+        with open(args.csv_out, "w", encoding="ascii") as fh:
             fh.write(reports_to_csv(reports))
-    click.echo(text, nl=False, file=sys.stdout)
+    _emit(text, None)
 
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for report in reports:
         counts[report.status] += 1
-    click.echo(
+    print(
         f"# {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['skip']} skip, {counts['error']} error",
         file=sys.stderr,
@@ -356,25 +251,107 @@ def verify(theorem, k, p, r, arms, sweep_grid, jobs, json_out, csv_out):
         raise CheckFailed(f"{counts['fail']} instance(s) failed; see report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes options only as spelled in full, offers `--help` (no `-h`), and
+    raises each usage error as ValueError, which `main` reports with exit 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
+def _command(commands, name: str, summary: str, run) -> _Parser:
+    sub = commands.add_parser(name, help=summary, description=summary)
+    sub.set_defaults(run=run)
+    return sub
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="blockspectra",
+        description="Clique-chain graph families, their algebraic connectivity, "
+                    "and case A/B classification of their Fiedler vectors.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"blockspectra, version {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    gen_parser = _command(commands, "gen", "Generate a graph family member.", None)
+    families = gen_parser.add_subparsers(dest="family", required=True)
+    for family, (summary, options, build) in _FAMILIES.items():
+        sub = _command(families, family, summary, gen)
+        sub.set_defaults(build=build)
+        for flag, kind, text in options:
+            sub.add_argument(flag, type=kind, required=True, help=text)
+        sub.add_argument("--format", choices=["edgelist", "dot"], default="edgelist",
+                         help="Output format. [default: edgelist]")
+        sub.add_argument("--out", help="Write to a file instead of stdout.")
+
+    sub = _command(commands, "spectrum", spectrum.__doc__, spectrum)
+    sub.add_argument("input", nargs="?", default="-")
+    sub.add_argument("--out", help="Write JSON to a file instead of stdout.")
+
+    sub = _command(commands, "classify", classify.__doc__, classify)
+    sub.add_argument("input", nargs="?", default="-")
+    sub.add_argument("--method", choices=["structural", "perron", "both"], default="both",
+                     help="[default: both]")
+    sub.add_argument("--zero-tol", type=float, default=ZERO_REL_TOL,
+                     help="Relative threshold below which an entry counts as zero. "
+                          "[default: %(default)s]")
+    sub.add_argument("--tie-tol", type=float, default=TIE_REL_TOL,
+                     help="Relative tolerance for tied Perron values. [default: %(default)s]")
+    sub.add_argument("--out", help="Write JSON to a file instead of stdout.")
+
+    sub = _command(commands, "verify", verify.__doc__, verify)
+    sub.add_argument("--theorem", required=True, choices=sorted(THEOREM_RUNNERS),
+                     help="Which identity to check.")
+    sub.add_argument("-k", type=int, help="Clique size.")
+    sub.add_argument("-p", type=int, help="Articulation count / arm length.")
+    sub.add_argument("-r", type=int, help="Arm count.")
+    sub.add_argument("--arms", help="Comma-separated arm lengths.")
+    sub.add_argument("--sweep", dest="sweep_grid",
+                     help='Parameter grid such as "k=2..6,p=1..8"; overrides '
+                          "single-instance options.")
+    sub.add_argument("--jobs", type=_jobs, default=1,
+                     help="Worker processes for sweeps; report order is unaffected. "
+                          "[default: 1]")
+    sub.add_argument("--json", dest="json_out", help="Write the JSON report to a file.")
+    sub.add_argument("--csv", dest="csv_out", help="Write the CSV report to a file.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, prog_name="blockspectra", standalone_mode=False)
-    except click.exceptions.Abort:
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit:  # --help or --version has written its text
+            return EXIT_OK
+        args.run(args)
     except ValueError as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CheckFailed as exc:
-        click.echo(f"failure: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except ClassificationError as exc:
-        click.echo(f"failure: {exc}", file=sys.stderr)
+    except (CheckFailed, ClassificationError) as exc:
+        print(f"failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     except ConvergenceError as exc:
-        click.echo(f"non-convergence: {exc}", file=sys.stderr)
+        print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

@@ -44,34 +44,17 @@ class Graph:
 
         return block_decomposition(self)
 
-    @cached_property
-    def _weight_of(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.edges, self.weights))
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._weight_of
-
-    def weight(self, u: int, v: int) -> float:
-        return self._weight_of[(min(u, v), max(u, v))]
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         return frozenset(self.adjacency[v]) | {v}
-
-
-@dataclass(frozen=True)
-class TwinPartition:
-    """Partition of the vertex set into maximal classes of true twins."""
-
-    classes: tuple[tuple[int, ...], ...]
 
 
 def build_graph(n: int, edges, weights=None) -> Graph:
@@ -131,30 +114,26 @@ def _bfs_distances(g: Graph, source: int) -> dict[int, int]:
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    return len(_bfs_distances(g, 1)) == g.n
-
-
-def eccentricities(g: Graph) -> dict[int, int]:
-    if not is_connected(g):
-        raise ValueError("eccentricity requires a connected graph")
-    return {v: max(_bfs_distances(g, v).values()) for v in g.vertices()}
-
-
 def center(g: Graph) -> tuple[int, ...]:
-    """All vertices of minimum eccentricity, sorted."""
-    ecc = eccentricities(g)
+    """All vertices of minimum eccentricity, sorted.  Raises ValueError if g
+    is disconnected."""
+    ecc = {}
+    for v in g.vertices():
+        dist = _bfs_distances(g, v)
+        if len(dist) < g.n:
+            raise ValueError("eccentricity requires a connected graph")
+        ecc[v] = max(dist.values())
     best = min(ecc.values())
     return tuple(v for v in g.vertices() if ecc[v] == best)
 
 
-def true_twin_partition(g: Graph) -> TwinPartition:
-    """Group vertices whose closed neighborhoods coincide."""
+def true_twin_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The maximal classes of true twins (vertices whose closed
+    neighborhoods coincide), each sorted, ordered by smallest vertex."""
     by_hood: dict[frozenset[int], list[int]] = {}
     for v in g.vertices():
         by_hood.setdefault(g.closed_neighborhood(v), []).append(v)
-    classes = sorted(tuple(sorted(c)) for c in by_hood.values())
-    return TwinPartition(classes=tuple(classes))
+    return tuple(sorted(tuple(sorted(c)) for c in by_hood.values()))
 
 
 def coalesce(g: Graph, u: int, h: Graph, w: int) -> Graph:

@@ -170,10 +170,11 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     """
     res = np.zeros((g.n, g.n))
     placed = np.zeros(1, dtype=int)  # vertex 1
+    weight = dict(zip(g.edges, g.weights))
     solved: dict[bytes, np.ndarray] = {}
     for i, a in dec.rooted:
         block = dec.blocks[i]
-        local = _block_resistances(g, block, solved)
+        local = _block_resistances(weight, block, solved)
         fresh = np.array([t for t, u in enumerate(block) if u != a])
         idx = np.array(block)[fresh] - 1
         cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
@@ -185,21 +186,24 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
 
 
 def _block_resistances(
-    g: Graph, block: tuple[int, ...], solved: dict[bytes, np.ndarray]
+    weight: dict[tuple[int, int], float],
+    block: tuple[int, ...],
+    solved: dict[bytes, np.ndarray],
 ) -> np.ndarray:
     """Effective resistances among the vertices of one block, in block order,
     from the inverse of its Laplacian grounded at the block's first vertex.
 
-    `solved` maps the bytes of each local Laplacian already solved to its
-    result.  The bytes fix the block's size, edges and weights, and equal
-    inputs take the same arithmetic, so a hit returns exactly what a fresh
-    solve would.
+    `weight` maps each edge (u, v), u < v, to its weight; the block is
+    sorted, so its vertex pairs come in that order.  `solved` maps the bytes
+    of each local Laplacian already solved to its result.  The bytes fix the
+    block's size, edges and weights, and equal inputs take the same
+    arithmetic, so a hit returns exactly what a fresh solve would.
     """
     s = len(block)
     lap = np.zeros((s, s))
     for (i, u), (j, w) in itertools.combinations(enumerate(block), 2):
-        if g.has_edge(u, w):
-            lap[i, j] = lap[j, i] = -g.weight(u, w)
+        if (wt := weight.get((u, w))) is not None:
+            lap[i, j] = lap[j, i] = -wt
     np.fill_diagonal(lap, -lap.sum(axis=1))
     key = lap.tobytes()
     if key not in solved:

@@ -116,7 +116,7 @@ def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
     for col in range(summary.fiedler_basis.shape[1]):
         y = summary.fiedler_basis[:, col]
         scale = float(np.abs(y).max())
-        for cls in twins.classes:
+        for cls in twins:
             if len(cls) < 2:
                 continue
             entries = [float(y[v - 1]) for v in cls]

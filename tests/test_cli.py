@@ -1,12 +1,16 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import blockspectra
 from blockspectra import block_path, block_starlike, format_edge_list, linalg, parse_edge_list
 from blockspectra.cli import main
 
@@ -246,6 +250,26 @@ class TestClassify:
         assert out == ""
         assert "must be finite and >= 0" in err
 
+    def test_negative_tolerance_given_with_equals_reaches_the_library(self, capsys, chain_file):
+        code, out, err = run(capsys, "classify", chain_file, "--tie-tol=-1e-3")
+        assert code == 1
+        assert out == ""
+        assert "must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    def test_option_like_tolerance_is_a_usage_error(self, capsys, chain_file, value):
+        # not a plain negative number, so the parser reads it as an option
+        code, out, err = run(capsys, "classify", chain_file, "--tie-tol", value)
+        assert code == 1
+        assert out == ""
+        assert "--tie-tol" in err
+
+    def test_abbreviated_option_rejected(self, capsys, chain_file):
+        code, out, err = run(capsys, "classify", chain_file, "--meth", "perron")
+        assert code == 1
+        assert out == ""
+        assert "--meth" in err
+
     def test_disagreement_exits_2(self, capsys, chain_file, monkeypatch):
         import blockspectra.cli as cli_mod
         from blockspectra import CaseClassification
@@ -335,6 +359,25 @@ class TestVerify:
     def test_stdin_default_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify")
         assert code == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, monkeypatch, jobs):
+        import blockspectra.cli as cli_mod
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli_mod, "sweep", no_sweep)
+        code, out, err = run(capsys, "verify", "--theorem", "path-parity",
+                             "--sweep", "k=2..3,p=1..2", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
+    def test_help_lists_options_on_stdout(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert "--theorem" in out
 
     def test_parallel_sweep(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "path-parity",
@@ -453,3 +496,19 @@ class TestTopLevel:
     def test_no_args_shows_usage(self, capsys):
         code, out, err = run(capsys)
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("argv", [[], ["gen"]])
+    def test_missing_subcommand_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err
+
+    def test_import_leaves_click_unloaded(self):
+        src = os.path.dirname(os.path.dirname(blockspectra.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = "import sys, blockspectra.cli; print('click' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"

@@ -418,10 +418,11 @@ class TestDistinctBlockSolves:
         d = pinv.diagonal()
         oracle = d[:, None] + d[None, :] - 2 * pinv
         assert np.abs(res - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        weight = dict(zip(g.edges, g.weights))
         for block in dec.blocks:
             # within a block, R is exactly the block's own fresh solve
             idx = np.array(block) - 1
-            fresh = spectral._block_resistances(g, block, {})
+            fresh = spectral._block_resistances(weight, block, {})
             assert np.array_equal(res[np.ix_(idx, idx)], fresh)
 
     @pytest.fixture
