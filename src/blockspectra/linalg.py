@@ -1,7 +1,8 @@
 """Dense symmetric linear algebra, self-contained.
 
 numpy supplies array storage and vector arithmetic only; the eigensolver
-(Householder tridiagonalization plus implicit QL), the SPD factorization
+(Householder tridiagonalization, implicit QL, and inverse iteration on the
+tridiagonal when only some eigenvectors are wanted), the SPD factorization
 (Cholesky), and the dominant-eigenpair iteration are implemented here.
 Everything targets small dense matrices (desk scale: graph.build_graph
 accepts at most DESK_SCALE_LIMIT = 400 vertices).
@@ -15,7 +16,8 @@ matrices built from them.
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
   that way and `eig_sym` rejects anything else;
-* eigenvalues are returned ascending with orthonormal column eigenvectors;
+* eigenvalues are returned ascending with orthonormal column eigenvectors
+  (all n, or the ones `eig_sym`'s `select` asks for);
 * eigenvector signs are fixed so the largest-magnitude entry of each vector
   is positive (ties resolved to the lowest index), making output
   deterministic.
@@ -30,6 +32,7 @@ from .graph import Graph
 
 QL_DEFLATION_TOL = 2.0 ** -52  # machine epsilon of float64
 QL_MAX_ITER = 30
+INVERSE_MAX_ITER = 8  # inverse-iteration steps per selected eigenvector
 POWER_RQ_TOL = 1e-13
 POWER_MAX_ITER = 50_000
 
@@ -64,16 +67,25 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def eig_sym(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix: every eigenvalue, and the
+    eigenvectors of all of them or of those that `select` picks.
 
     Householder reflections reduce the matrix to tridiagonal form T = Qᵀ m Q,
-    one rank-2 update each; implicit Wilkinson-shift QL then diagonalizes T,
-    applying each plane rotation to two rows of Qᵀ (EISPACK tred2/tql2; Golub
-    & Van Loan, Matrix Computations, §8.3).  An off-diagonal entry of T is
-    deflated once it is at most QL_DEFLATION_TOL times max |d_i| + |e_i| over
-    the tridiagonal's diagonal d and off-diagonal e.  Raises ConvergenceError
-    if one eigenvalue takes more than QL_MAX_ITER QL steps.
+    one rank-2 update each; implicit Wilkinson-shift QL then finds the
+    eigenvalues of T (EISPACK tred2/tql2; Golub & Van Loan, Matrix
+    Computations, §8.3).  An off-diagonal entry of T is deflated once it is
+    at most QL_DEFLATION_TOL times max |d_i| + |e_i| over the tridiagonal's
+    diagonal d and off-diagonal e.  Raises ConvergenceError if one eigenvalue
+    takes more than QL_MAX_ITER QL steps.
+
+    With `select=None` each QL plane rotation is also applied to two rows of
+    Qᵀ, which yields all n eigenvectors.  Otherwise `select(values)` maps the
+    ascending eigenvalues to the indices whose vectors are wanted; QL then
+    runs on the values alone (the same arithmetic, so the same values), each
+    wanted vector of T comes from inverse iteration (`_tridiagonal_vectors`),
+    and the stored reflectors carry it back to m (LAPACK dsterf, dstein,
+    dormtr).  The result then holds those columns only, in the order given.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -81,9 +93,11 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     n = a.shape[0]
-    qt = np.eye(n)  # Qᵀ, so that every update below reads and writes rows
     if n == 0:
-        return EigenDecomposition(values=np.zeros(0), vectors=qt)
+        return EigenDecomposition(values=np.zeros(0), vectors=np.zeros((0, 0)))
+    full = select is None
+    qt = np.eye(n) if full else None  # Qᵀ, so that every update below reads and writes rows
+    reflectors = []  # (k + 1, v): H = I - 2 v vᵀ acting on rows k + 1 onward
     for k in range(n - 2):
         x = a[k + 1:, k]
         tail = float(x[1:] @ x[1:])
@@ -98,13 +112,20 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
         sub = a[k + 1:, k + 1:]
         p = sub @ v
         w = p - (v @ p) * v
-        sub -= 2.0 * (np.outer(v, w) + np.outer(w, v))
-        qt[k + 1:] -= 2.0 * np.outer(v, v @ qt[k + 1:])
+        vw = v[:, None] * w
+        sub -= 2.0 * (vw + vw.T)
+        if full:
+            qt[k + 1:] -= 2.0 * np.outer(v, v @ qt[k + 1:])
+        else:
+            reflectors.append((k + 1, v))
 
-    d = a.diagonal().tolist()
-    e = a.diagonal(-1).tolist() + [0.0]  # e[i] couples d[i] and d[i + 1]
+    diag, off = a.diagonal().copy(), a.diagonal(-1).copy()  # T, kept for inverse iteration
+    d = diag.tolist()
+    e = off.tolist() + [0.0]  # e[i] couples d[i] and d[i + 1]
     if abs(d[-1]) < abs(d[0]):  # QL suits T larger at the bottom (LAPACK dsteqr)
-        d, e, qt = d[::-1], e[-2::-1] + [0.0], qt[::-1].copy()
+        d, e = d[::-1], e[-2::-1] + [0.0]
+        if full:
+            qt = qt[::-1].copy()
     rot, pair = np.empty((2, 2)), np.empty((2, n))
     small = QL_DEFLATION_TOL * max((abs(di) + abs(ei) for di, ei in zip(d, e)), default=0.0)
     for l in range(n):
@@ -139,20 +160,113 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                rot[0, 0] = rot[1, 1] = c
-                rot[1, 0] = s
-                rot[0, 1] = -s
-                qt[i:i + 2] = np.dot(rot, qt[i:i + 2], out=pair)
+                if full:
+                    rot[0, 0] = rot[1, 1] = c
+                    rot[1, 0] = s
+                    rot[0, 1] = -s
+                    qt[i:i + 2] = np.dot(rot, qt[i:i + 2], out=pair)
             else:
                 d[l] -= p
                 e[l] = g
                 e[end] = 0.0
 
     order = np.argsort(d, kind="stable")
-    rows = qt[order]
+    values = np.array(d)[order]
+    if full:
+        rows = qt[order]
+    else:
+        rows = _tridiagonal_vectors(diag, off, values[list(select(values))]).T
+        for k, v in reversed(reflectors):
+            rows[:, k:] -= 2.0 * np.outer(rows[:, k:] @ v, v)
     lead = np.abs(rows).argmax(axis=1)
-    rows[rows[np.arange(n), lead] < 0] *= -1.0
-    return EigenDecomposition(values=np.array(d)[order], vectors=rows.T)
+    rows[rows[np.arange(len(rows)), lead] < 0] *= -1.0
+    return EigenDecomposition(values=values, vectors=rows.T)
+
+
+def _tridiagonal_vectors(diag, off, lams):
+    """Unit eigenvectors, as columns, of the symmetric tridiagonal T with
+    diagonal `diag` and off-diagonal `off`, one for each eigenvalue in `lams`.
+
+    Inverse iteration: each step solves (T - σI) y = x by Gaussian
+    elimination with partial pivoting in O(n) (LAPACK dgttrf/dgttrs), with an
+    exactly zero pivot taken as 2**-52 ‖T‖₁; it then orthogonalizes y against
+    the vectors already found (classical Gram-Schmidt, twice) and normalizes
+    it.  That is what separates the vectors of a multiple eigenvalue: an
+    unreduced tridiagonal has simple eigenvalues only, so a multiple one
+    comes with a split of T.  The shift σ is λ, except that each repeat of a
+    value moves it 10 · 2**-52 ‖T‖₁ further (as LAPACK dstein does): with one
+    shared shift, rounding can make one direction of the cluster grow far
+    faster than the others, and Gram-Schmidt then leaves only noise.  Vector
+    j starts from sin((j + 1) i), i = 1..n, so that no two starts are
+    parallel, and stops once two successive iterates x have
+    ‖(T - λI) x‖ ≤ 8n · 2**-52 ‖T‖₁.  The bound leaves room for the spread
+    that rounding gives a multiple eigenvalue of T (16 · 2**-52 ‖T‖₁ for
+    K_200), since any unit vector of its eigenspace will do; the second
+    step shrinks what is left of the other eigenvectors by |σ - λ| / gap.
+    Raises ConvergenceError after INVERSE_MAX_ITER steps.
+    """
+    n = len(diag)
+    band = np.abs(diag)
+    band[:-1] += np.abs(off)
+    band[1:] += np.abs(off)
+    tiny = 2.0 ** -52 * (float(band.max()) or 1.0)  # ‖T‖₁, or 1 when T = 0
+    lower = off.tolist()
+    found = np.empty((n, len(lams)))
+    shift = math.inf
+    for j, lam in enumerate(lams.tolist()):
+        shift = lam if abs(lam - shift) > 10.0 * tiny else shift + 10.0 * tiny
+        # (T - shift I) = P L U with L unit lower bidiagonal (multipliers
+        # `mult`, row swaps `swap`) and U upper triangular, two superdiagonals
+        u0 = [di - shift for di in diag.tolist()]
+        u1 = lower + [0.0]
+        u2 = [0.0] * n  # u1 and u2 end in zeros, so back substitution needs no special rows
+        mult = [0.0] * n
+        swap = [False] * n
+        for i in range(n - 1):
+            if abs(u0[i]) >= abs(lower[i]):
+                if u0[i] == 0.0:
+                    u0[i] = tiny
+                f = lower[i] / u0[i]
+                u0[i + 1] -= f * u1[i]
+            else:
+                f = u0[i] / lower[i]
+                u0[i] = lower[i]
+                u1[i], u0[i + 1] = u0[i + 1], u1[i] - f * u0[i + 1]
+                u2[i] = u1[i + 1]
+                u1[i + 1] *= -f
+                swap[i] = True
+            mult[i] = f
+        if u0[-1] == 0.0:
+            u0[-1] = tiny
+        x = np.sin(np.arange(1.0, n + 1.0) * (j + 1))
+        passed = False
+        for _ in range(INVERSE_MAX_ITER):
+            y = x.tolist() + [0.0, 0.0]
+            for i in range(n - 1):
+                if swap[i]:
+                    y[i], y[i + 1] = y[i + 1], y[i] - mult[i] * y[i + 1]
+                else:
+                    y[i + 1] -= mult[i] * y[i]
+            for i in range(n - 1, -1, -1):
+                y[i] = (y[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / u0[i]
+            x = np.array(y[:n])
+            done = found[:, :j]
+            x -= done @ (x @ done)
+            x -= done @ (x @ done)  # a second pass undoes the cancellation of the first
+            x /= math.sqrt(x @ x)
+            r = (diag - lam) * x
+            r[:-1] += off * x[1:]
+            r[1:] += off * x[:-1]
+            small = math.sqrt(r @ r) <= 8.0 * n * tiny
+            if small and passed:
+                break
+            passed = small
+        else:
+            raise ConvergenceError(
+                f"inverse iteration cap {INVERSE_MAX_ITER} reached for eigenvalue {lam!r}"
+            )
+        found[:, j] = x
+    return found
 
 
 def cholesky_factor(m: np.ndarray) -> np.ndarray:

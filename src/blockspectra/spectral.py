@@ -88,29 +88,36 @@ class CaseClassification:
 def spectral_summary(g: Graph) -> SpectralSummary:
     """Second-smallest Laplacian eigenvalue with its eigenspace basis.
 
-    Multiplicity counts eigenvalues within MULTIPLICITY_REL_TOL (relative) of
-    the second-smallest one.  A disconnected graph is flagged (lambda2 ~ 0)
-    rather than rejected.
+    Every eigenvalue is computed, but eigenvectors only for the lambda2
+    cluster: the eigenvalues within MULTIPLICITY_REL_TOL (relative) of the
+    second-smallest one (`_fiedler_cluster`), whose count is the
+    multiplicity.  A disconnected graph is flagged (lambda2 ~ 0) rather than
+    rejected.
     """
     if g.n == 1:
         return SpectralSummary(
             lambda2=0.0, multiplicity=0, fiedler_basis=np.zeros((1, 0)),
             spectrum=np.zeros(1), connected=True,
         )
-    dec = eig_sym(laplacian(g))
+    dec = eig_sym(laplacian(g), select=_fiedler_cluster)
     spectrum = dec.values
     lam2 = float(spectrum[1])
-    scale = max(float(spectrum[-1]), 1.0)
-    connected = lam2 > 1e-8 * scale
-    tol = MULTIPLICITY_REL_TOL * max(abs(lam2), 1e-12 * scale)
-    members = [i for i in range(1, g.n) if abs(float(spectrum[i]) - lam2) <= tol]
     return SpectralSummary(
         lambda2=lam2,
-        multiplicity=len(members),
-        fiedler_basis=dec.vectors[:, members].copy(),
+        multiplicity=dec.vectors.shape[1],
+        fiedler_basis=dec.vectors,
         spectrum=spectrum,
-        connected=connected,
+        connected=lam2 > 1e-8 * max(float(spectrum[-1]), 1.0),
     )
+
+
+def _fiedler_cluster(spectrum: np.ndarray) -> list[int]:
+    """Indices of the ascending Laplacian spectrum within
+    MULTIPLICITY_REL_TOL (relative) of the second-smallest value."""
+    lam2 = float(spectrum[1])
+    scale = max(float(spectrum[-1]), 1.0)
+    tol = MULTIPLICITY_REL_TOL * max(abs(lam2), 1e-12 * scale)
+    return [i for i in range(1, len(spectrum)) if abs(float(spectrum[i]) - lam2) <= tol]
 
 
 def vertex_perron_data(g: Graph, v: int) -> VertexPerronData:
