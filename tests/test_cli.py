@@ -505,10 +505,28 @@ class TestTopLevel:
         assert err
 
     def test_import_leaves_click_unloaded(self):
-        src = os.path.dirname(os.path.dirname(blockspectra.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = "import sys, blockspectra.cli; print('click' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert _fresh_python(probe) == "False"
+
+    def test_spectrum_and_classify_leave_numpy_random_unloaded(self, tmp_path):
+        path = tmp_path / "starlike.edges"
+        path.write_text(format_edge_list(block_starlike(3, 4, [1, 1, 1])))
+        probe = (
+            "import contextlib, io, sys; from blockspectra.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = main(['spectrum', {str(path)!r}]), "
+            f"main(['classify', {str(path)!r}, '--method', 'both'])\n"
+            "print(codes, 'numpy.random' in sys.modules)"
+        )
+        assert _fresh_python(probe) == "(0, 0) False"
+
+
+def _fresh_python(code):
+    """stdout of `python -c code` in a new interpreter that imports this
+    checkout's blockspectra."""
+    src = os.path.dirname(os.path.dirname(blockspectra.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()

@@ -10,6 +10,7 @@ from blockspectra import (
     NotPositiveDefiniteError,
     block_decomposition,
     block_path,
+    block_starlike,
     build_graph,
     complete_graph,
     eig_sym,
@@ -28,6 +29,12 @@ small_clique_trees = st.builds(
     clique_tree,
     st.lists(st.integers(2, 4), min_size=1, max_size=3),
     st.lists(st.integers(0, 100), min_size=2, max_size=2),
+)
+# at most 3 cliques of at most 4 vertices: 18 edges
+weighted_clique_trees = st.builds(
+    lambda g, ws: build_graph(g.n, g.edges, dict(zip(g.edges, ws))),
+    small_clique_trees,
+    st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=18, max_size=18),
 )
 
 
@@ -154,6 +161,72 @@ class TestEigSym:
         monkeypatch.setattr(linalg, "QL_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
             eig_sym(laplacian(path_graph(5)))
+
+
+class TestEigSymSelect:
+    """eig_sym(m, select): the full spectrum, vectors for the chosen indices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(small_clique_trees, weighted_clique_trees))
+    def test_fiedler_cluster_matches_full_decomposition(self, g):
+        lap = laplacian(g)
+        values = eig_sym(lap).values
+        dec = eig_sym(lap, select=spectral._fiedler_cluster)
+        assert np.array_equal(dec.values, values)
+        reference = np.linalg.eigh(lap)[1][:, spectral._fiedler_cluster(values)]
+        projector = dec.vectors @ dec.vectors.T
+        assert np.abs(projector - reference @ reference.T).max() <= 1e-12
+
+    def test_double_eigenvalue_across_a_split(self):
+        # lambda2 = 1 twice, on either side of a split of T that rounding
+        # leaves at 3.6e-16; solving both vectors at the one shift 1.0 made the
+        # second one noise (residual 0.24)
+        g = clique_tree([2, 4, 2], [75, 6])
+        lap = laplacian(g)
+        dec = eig_sym(lap, select=spectral._fiedler_cluster)
+        assert dec.vectors.shape == (6, 2)
+        assert np.abs(lap @ dec.vectors - dec.vectors).max() <= 1e-14
+        reference = np.linalg.eigh(lap)[1][:, 1:3]
+        projector = dec.vectors @ dec.vectors.T
+        assert np.abs(projector - reference @ reference.T).max() <= 1e-12
+
+    def test_columns_follow_the_selection(self):
+        m = random_symmetric(9)
+        full = eig_sym(m)
+        dec = eig_sym(m, select=lambda values: [3, 1, 7])
+        assert np.abs(dec.vectors - full.vectors[:, [3, 1, 7]]).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", [np.zeros((0, 0)), np.array([[3.5]]), laplacian(path_graph(2))])
+    def test_empty_selection(self, m):
+        dec = eig_sym(m, select=lambda values: [])
+        assert np.array_equal(dec.values, eig_sym(m).values)
+        assert dec.vectors.shape == (m.shape[0], 0)
+
+    @pytest.mark.parametrize("m", [np.array([[3.5]]), laplacian(path_graph(2))])
+    def test_tiny_matrices(self, m):
+        dec = eig_sym(m, select=lambda values: range(len(values)))
+        assert np.abs(dec.vectors - eig_sym(m).vectors).max() <= 1e-15
+
+    def test_zero_matrix_pivots(self):
+        # T = 0: the first solve meets only zero pivots, and each is replaced
+        dec = eig_sym(np.zeros((4, 4)), select=lambda values: [0, 1, 2, 3])
+        assert np.array_equal(dec.values, np.zeros(4))
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(4)).max() <= 1e-15
+
+    def test_multiple_eigenvalue_at_the_size_cap(self):
+        lap = laplacian(block_starlike(4, 6, [15] * 4))
+        dec = eig_sym(lap, select=spectral._fiedler_cluster)
+        assert dec.vectors.shape == (321, 3)
+        residual = lap @ dec.vectors - dec.values[1] * dec.vectors
+        assert np.abs(residual).max() <= 1e-14 * np.abs(lap).sum(axis=0).max()
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(3)).max() <= 1e-13
+
+    def test_inverse_iteration_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(linalg, "INVERSE_MAX_ITER", 0)
+        lap = laplacian(path_graph(5))
+        with pytest.raises(ConvergenceError, match="inverse iteration cap 0"):
+            eig_sym(lap, select=lambda values: [1])
+        assert eig_sym(lap).vectors.shape == (5, 5)  # the full decomposition takes no such step
 
 
 def spd_solve(m, b):
