@@ -10,8 +10,9 @@ accepts at most DESK_SCALE_LIMIT = 400 vertices).
 The two classifiers draw on disjoint parts of this module: the structural
 route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair
 (which solves the grounded Laplacian of each distinct block for its
-resistances) and on `perron_pair`, which iterates with the bottleneck
-matrices built from them.
+resistances) and on `perron_pairs`: one batched power iteration per
+request, over every component at once, reading the resistances directly;
+no bottleneck matrix is formed.
 
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
@@ -298,41 +299,99 @@ def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def perron_pair(b: np.ndarray) -> PerronData:
-    """Dominant eigenpair of a symmetric, entrywise positive matrix b.
+def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronData]:
+    """Perron pairs of bottleneck matrices, from one batched power iteration
+    over all of them; no bottleneck matrix is formed.
 
-    Power iteration takes one product b @ x per step, starting from the
-    all-ones vector (inside the positive cone, so the iteration converges to
-    the Perron pair).  Convergence is declared when successive Rayleigh
-    quotients differ by at most POWER_RQ_TOL times the latest one: Perron
-    values grow with the component, so an absolute threshold would fall below
-    one ulp on large components.  Raises ConvergenceError after POWER_MAX_ITER
-    steps.  The returned vector is normalized to sum 1.
+    `res` is the exactly symmetric n x n effective-resistance array of a
+    graph (index i is vertex i + 1).  Item j is a component C of the graph
+    minus the vertex of index ground[j], given by row j of the boolean
+    items x n array `support`.  Its bottleneck matrix L[C]^-1 is the Green's
+    function grounded at that vertex, (r_i + r_l - R_il) / 2 with r its row
+    of `res`, so (B x)_i = (r_i sum(x) + r.x - (R x)_i) / 2 for i in C.
+
+    Each item's iterate is one row of an items x n block X that is zero off
+    its C, so a step is one product X @ res plus row-wise updates.  Off C the
+    formula is zero only up to rounding, and another component's larger
+    Perron value would grow that noise, so every step masks each row to its
+    C.  Each row starts from the constant vector on C (inside the positive
+    cone, so the iteration converges to the Perron pair) and stops when its
+    successive Rayleigh quotients differ by less than POWER_RQ_TOL times the
+    latest one (so a tolerance of 0 never stops): Perron values grow with the
+    component, so an absolute threshold would fall below one ulp on large
+    components.  A row that stops leaves the block, so later steps cost
+    less.  Raises ConvergenceError after POWER_MAX_ITER steps, naming the
+    first item still running, and ArithmeticError if a Perron vector is not
+    strictly positive (`res` is then no resistance array: some entry of B is
+    negative).
+
+    Returns one PerronData per item, in order; each vector lists C in
+    increasing index order and sums to 1.
     """
-    n = b.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    value = math.inf
-    for step in range(1, POWER_MAX_ITER + 1):
-        y = b @ x
-        rq = float(x @ y)
-        converged = abs(rq - value) <= POWER_RQ_TOL * rq
-        value, last = rq, x
-        x = y / math.sqrt(y @ y)  # what np.linalg.norm computes, without its overhead
-        if converged:
-            break
-    else:
-        raise ConvergenceError(
-            f"power iteration cap {POWER_MAX_ITER} reached (last value {value!r})"
-        )
-    residual = float(np.linalg.norm(y - value * last)) / value
-    total = float(x.sum())
-    if total < 0:
-        x = -x
-        total = -total
-    vector = x / total
-    if not (vector > 0).all():
+    tol, cap = POWER_RQ_TOL, POWER_MAX_ITER  # read at call time: tests patch them
+    support = np.asarray(support, dtype=bool)
+    ground = np.asarray(ground, dtype=np.intp)
+    items, n = support.shape
+    sizes = support.sum(axis=1)
+    fold = -0.5 * support  # y -> -y / 2 on each row's C, 0 off it
+    at, rows = ground, np.arange(items)  # each row's ground; the row numbers
+    ones = np.ones(n)
+    x = support / np.sqrt(sizes)[:, None]
+    live = np.arange(items)  # the item of each row of x
+    value = np.full(items, math.inf)
+    values, residuals = np.empty(items), np.empty(items)
+    iterations = np.empty(items, dtype=int)
+    vectors = np.empty((items, n))
+    step = 0
+    while live.size:
+        if step == cap:
+            j = int(live[0])
+            raise ConvergenceError(
+                f"power iteration cap {cap} reached at cut vertex {ground[j] + 1} "
+                f"for its component of {sizes[j]} vertices (last value {float(value[0])!r})"
+            )
+        step += 1
+        # x is 0 at its ground v; with -sum(x) put there, x @ res is
+        # (R x)_i - r_i sum(x), and r.x at v itself (R_vv = 0)
+        x[rows, at] = -np.dot(x, ones)
+        y = x @ res
+        y -= y[rows, at][:, None]
+        y *= fold  # now B x, row by row, 0 at v
+        rq = _row_dots(x, y)
+        done = np.abs(rq - value) < tol * rq
+        if done.any():
+            out = live[done]
+            gap = y[done] - rq[done, None] * x[done]
+            gap[np.arange(out.size), at[done]] = 0.0  # x - B x is 0 at v
+            values[out] = rq[done]
+            residuals[out] = np.sqrt(_row_dots(gap, gap)) / rq[done]
+            iterations[out] = step
+            vectors[out] = y[done]
+            keep = np.flatnonzero(~done)
+            live, at, fold = live[keep], at[keep], fold[keep]
+            y, rq = y[keep], rq[keep]
+            rows = rows[:keep.size]
+        value = rq
+        y /= np.sqrt(_row_dots(y, y))[:, None]
+        x = y
+    vectors /= vectors.sum(axis=1)[:, None]  # a negative sum flips the sign
+    bad = ~(vectors > 0) & support
+    if bad.any():
+        j = int(bad.any(axis=1).argmax())
         raise ArithmeticError(
-            "computed dominant eigenvector is not strictly positive; "
-            "input is not a bottleneck-type matrix"
+            f"dominant eigenvector of the component of {sizes[j]} vertices at cut "
+            f"vertex {ground[j] + 1} is not strictly positive; input is not a "
+            "resistance array"
         )
-    return PerronData(value=value, vector=vector, iterations=step, residual=residual)
+    flat, ends = vectors[support], np.cumsum(sizes).tolist()
+    return [
+        PerronData(value=val, vector=flat[start:end], iterations=it, residual=resid)
+        for val, start, end, it, resid in zip(
+            values.tolist(), [0] + ends, ends, iterations.tolist(), residuals.tolist()
+        )
+    ]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)

@@ -23,10 +23,12 @@ for both routes.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
 vertices, so R comes from one pass over the rooted tree, solving only the
-grounded Laplacian of each distinct block, once.  The structural route alone
-assembles the Laplacian and calls the eigensolver, so the two classifiers
-share no numerical machinery, which is the point: each one cross-checks the
-other.
+grounded Laplacian of each distinct block, once.  Then one batched power
+iteration per request (`linalg.perron_pairs`) finds the Perron pair of every
+(cut vertex, component) item from R directly; no bottleneck matrix is
+formed.  The structural route alone assembles the Laplacian and calls the
+eigensolver, so the two classifiers share no numerical machinery, which is
+the point: each one cross-checks the other.
 """
 
 import itertools
@@ -36,7 +38,7 @@ import numpy as np
 
 from .blocks import BlockDecomposition
 from .graph import Graph
-from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pair
+from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pairs
 
 ZERO_REL_TOL = 1e-7
 TIE_REL_TOL = 1e-9
@@ -131,34 +133,40 @@ def _cut_vertex_perron(g, v):
     dec = g.decomposition
     if v not in dec.articulation_points:
         raise ValueError(f"vertex {v} is not a cut vertex of the graph")
-    return _vertex_perron(_resistances(g, dec), v, dec.components_without(v), TIE_REL_TOL)
+    return _vertex_perron(_resistances(g, dec), dec, [v], TIE_REL_TOL)[v]
 
 
-def _vertex_perron(res, v, components, tie_rel_tol):
-    """`vertex_perron_data` from the graph's resistances `res` and the
-    components of g minus v, plus the Perron vector of each component."""
-    perron = [perron_pair(_bottleneck(res, comp, v)) for comp in components]
-    values = tuple(p.value for p in perron)
-    best = max(values)
-    maximizers = tuple(
-        i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
-    )
-    rest = [val for i, val in enumerate(values) if i not in maximizers]
-    margin = (best - max(rest)) / best if rest else None
-    data = VertexPerronData(
-        vertex=v, components=components, values=values,
-        maximizers=maximizers, tie_margin=margin,
-    )
-    return data, [p.vector for p in perron]
-
-
-def _bottleneck(res: np.ndarray, comp: tuple[int, ...], v: int) -> np.ndarray:
-    """Inverse of L[comp] for a component of g minus v: the Green's function
-    grounded at v, (r_i + r_j - R_ij) / 2 with r = R[comp, v].  Exactly
-    symmetric, since `res` is."""
-    idx = np.array(comp) - 1
-    r = res[idx, v - 1]
-    return (r[:, None] + r - res[idx[:, None], idx]) / 2
+def _vertex_perron(res, dec, vertices, tie_rel_tol):
+    """{v: (`vertex_perron_data` at v, the Perron vector of each component of
+    g minus v)} for the cut vertices `vertices`, from the graph's
+    resistances `res`: one `perron_pairs` call serves every component of
+    every vertex."""
+    comps = [dec.components_without(v) for v in vertices]
+    flat = [c for cs in comps for c in cs]
+    sizes = [len(c) for c in flat]
+    support = np.zeros((len(flat), len(res)), dtype=bool)
+    support[
+        np.repeat(np.arange(len(flat)), sizes),
+        np.fromiter(itertools.chain.from_iterable(flat), np.intp, sum(sizes)) - 1,
+    ] = True
+    ground = np.repeat(np.array(vertices) - 1, [len(cs) for cs in comps])
+    pairs = iter(perron_pairs(res, ground, support))
+    out = {}
+    for v, components in zip(vertices, comps):
+        perron = [next(pairs) for _ in components]
+        values = tuple(p.value for p in perron)
+        best = max(values)
+        maximizers = tuple(
+            i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
+        )
+        rest = [val for i, val in enumerate(values) if i not in maximizers]
+        margin = (best - max(rest)) / best if rest else None
+        data = VertexPerronData(
+            vertex=v, components=components, values=values,
+            maximizers=maximizers, tie_margin=margin,
+        )
+        out[v] = data, [p.vector for p in perron]
+    return out
 
 
 def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
@@ -237,11 +245,8 @@ def classify_perron(
     """
     _check_tolerance("tie_rel_tol", tie_rel_tol)
     dec = _cut_vertex_blocks(g)
-    res = _resistances(g, dec)
-    by_vertex = {
-        v: _vertex_perron(res, v, dec.components_without(v), tie_rel_tol)[0]
-        for v in dec.articulation_points
-    }
+    perron = _vertex_perron(_resistances(g, dec), dec, dec.articulation_points, tie_rel_tol)
+    by_vertex = {v: data for v, (data, _) in perron.items()}
     report = PerronReport(by_vertex=by_vertex)
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
     if len(tied) > 1:

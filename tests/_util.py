@@ -4,8 +4,9 @@ import heapq
 from collections import deque
 
 import networkx as nx
+import numpy as np
 
-from blockspectra import Graph, build_graph, coalesce, complete_graph
+from blockspectra import Graph, build_graph, coalesce, complete_graph, spectral
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -89,3 +90,17 @@ def clique_tree(sizes, attach_points) -> Graph:
     for k, raw in zip(sizes[1:], attach_points):
         g = coalesce(g, 1 + raw % g.n, complete_graph(k), 1)
     return g
+
+
+def bottlenecks(g: Graph, v: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(component, bottleneck matrix) for each component C of g minus v, built
+    from the graph's effective resistances R as (R_iv + R_jv - R_ij) / 2 over
+    C: the matrices the Perron route's power iteration never forms."""
+    dec = g.decomposition
+    res = spectral._resistances(g, dec)
+    out = []
+    for comp in dec.components_without(v):
+        idx = np.array(comp) - 1
+        r = res[idx, v - 1]
+        out.append((comp, (r[:, None] + r - res[np.ix_(idx, idx)]) / 2))
+    return out

@@ -12,6 +12,8 @@ from blockspectra import (
     block_path,
     block_starlike,
     build_graph,
+    classify_perron,
+    coalesce,
     complete_graph,
     eig_sym,
     laplacian,
@@ -20,7 +22,7 @@ from blockspectra import (
     vertex_perron_data,
 )
 from blockspectra import linalg, spectral
-from blockspectra.linalg import cholesky_factor, cholesky_solve, perron_pair
+from blockspectra.linalg import cholesky_factor, cholesky_solve, perron_pairs
 from _util import clique_tree
 
 RNG = np.random.default_rng(20240817)
@@ -263,12 +265,17 @@ class TestSpdSolve:
             spd_solve(np.zeros((2, 2)), np.ones(2))
 
 
-def bottlenecks(g, v):
-    """(component, bottleneck matrix) for each component of g minus v, as the
-    Perron route builds them from the graph's resistances."""
+def perron_items(g, vertices):
+    """(vertex, component, PerronData) for each component of g minus each
+    of `vertices`, from one `perron_pairs` call, as the Perron route makes
+    it."""
     dec = block_decomposition(g)
-    res = spectral._resistances(g, dec)
-    return [(c, spectral._bottleneck(res, c, v)) for c in dec.components_without(v)]
+    items = [(v, c) for v in vertices for c in dec.components_without(v)]
+    support = np.zeros((len(items), g.n), dtype=bool)
+    for row, (_, c) in zip(support, items):
+        row[[u - 1 for u in c]] = True
+    pairs = perron_pairs(spectral._resistances(g, dec), [v - 1 for v, _ in items], support)
+    return [(v, c, data) for (v, c), data in zip(items, pairs)]
 
 
 def submatrix(lap, comp):
@@ -281,16 +288,17 @@ class TestPerronOfInverse:
     submatrices of the components left by deleting a vertex."""
 
     def test_pendant_block(self):
-        data = perron_pair(np.array([[1.0]]))
-        assert data.value == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(data.vector, [1.0])
-        assert data.iterations == 2
-        assert data.residual == 0.0
+        # both components of the path 1-2-3 minus 2 are pendant vertices: [[1.0]]
+        for _, _, data in perron_items(path_graph(3), [2]):
+            assert data.value == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(data.vector, [1.0])
+            assert data.iterations == 2
+            assert data.residual == 0.0
 
     def test_two_vertex_block(self):
-        ((comp, b),) = bottlenecks(path_graph(3), 3)
+        # the inverse of L[{1, 2}] for the path 1-2-3 is [[2, 1], [1, 1]]
+        ((_, comp, data),) = perron_items(path_graph(3), [3])
         assert comp == (1, 2)
-        data = perron_pair(b)
         assert data.value == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-10)
         assert (data.vector > 0).all()
         assert data.vector.sum() == pytest.approx(1.0, abs=1e-12)
@@ -298,7 +306,7 @@ class TestPerronOfInverse:
     def test_residual_bounds_the_error(self):
         # for symmetric b and a unit vector x, some eigenvalue lies within
         # ||b x - theta x|| of theta (Parlett)
-        data = perron_pair(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        ((_, _, data),) = perron_items(path_graph(3), [3])
         exact = (3 + math.sqrt(5)) / 2
         assert data.iterations >= 2
         assert 0.0 < data.residual < 1e-6
@@ -306,9 +314,8 @@ class TestPerronOfInverse:
 
     def test_eigen_equation_residual(self):
         g = block_path(4, 2)
-        comp, b = bottlenecks(g, 4)[0]
+        _, comp, data = perron_items(g, [4])[0]
         m = submatrix(laplacian(g), comp)
-        data = perron_pair(b)
         # M^{-1} v = rho v  <=>  M v = v / rho
         assert np.linalg.norm(m @ data.vector - data.vector / data.value) <= 1e-10
 
@@ -322,8 +329,7 @@ class TestPerronOfInverse:
     def test_matches_reciprocal_smallest_eigenvalue(self, g, pick):
         v = 1 + pick % g.n
         lap = laplacian(g)
-        for comp, b in bottlenecks(g, v):
-            data = perron_pair(b)
+        for _, comp, data in perron_items(g, [v]):
             smallest = eig_sym(submatrix(lap, comp)).values[0]
             assert abs(data.value - 1.0 / smallest) <= 1e-10
             assert (data.vector > 0).all()
@@ -332,4 +338,75 @@ class TestPerronOfInverse:
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 1)
         monkeypatch.setattr(linalg, "POWER_RQ_TOL", 0.0)
         with pytest.raises(ConvergenceError):
-            perron_pair(np.array([[2.0, 1.0], [1.0, 1.0]]))
+            perron_items(path_graph(3), [3])
+
+
+class TestPerronPairs:
+    """One batched power iteration serves every (vertex, component) item."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(
+        lambda g, ws: build_graph(g.n, g.edges, dict(zip(g.edges, ws))),
+        st.builds(clique_tree, st.lists(st.integers(2, 5), min_size=1, max_size=6),
+                  st.lists(st.integers(0, 60), min_size=5, max_size=5)),
+        # at most 6 cliques of at most 5 vertices: 60 edges
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 1e-3]), min_size=60, max_size=60),
+    ))
+    def test_every_item_matches_the_reference_eigensolver(self, g):
+        lap = laplacian(g)
+        for _, comp, data in perron_items(g, g.vertices()):
+            m = submatrix(lap, comp)
+            lam, vecs = np.linalg.eigh(m)
+            assert abs(data.value - 1.0 / lam[0]) <= 1e-9 * data.value
+            assert (data.vector > 0).all()
+            assert data.vector.sum() == pytest.approx(1.0, abs=1e-12)
+            # in sorted-label order, the vector of L[C] as numpy finds it; the
+            # Rayleigh stop leaves the vector 1e-3 off at worst (1 500 draws),
+            # where a vector in another order is off by the order of its size
+            expected = vecs[:, 0] / vecs[:, 0].sum()
+            assert np.abs(data.vector - expected).max() <= 1e-2 * expected.max()
+
+    def test_small_component_keeps_its_own_value(self):
+        # vertex 1 of a 3-clique chain carries a 3-vertex path of weight 3
+        # beside a component whose Perron value is over 100 times larger; the
+        # path's iterate is zero on that component only up to rounding, so
+        # without the mask its noise would take over
+        chain = block_path(3, 20)
+        g = coalesce(chain, 1, path_graph(4), 1)
+        g = build_graph(g.n, g.edges, {e: 3.0 for e in g.edges if chain.n < e[1]})
+        data = vertex_perron_data(g, 1)
+        assert data.components[1] == (g.n - 2, g.n - 1, g.n)
+        assert data.values[0] >= 100 * data.values[1]
+        # the path grounded at one end: L[C] = 3 tridiag(-1, 2, -1) with a
+        # last diagonal entry of 1, smallest eigenvalue 12 sin^2(pi / 14)
+        assert data.values[1] == pytest.approx(1 / (12 * math.sin(math.pi / 14) ** 2), rel=1e-14)
+
+    @pytest.mark.parametrize("g", [
+        block_starlike(4, 3, [3, 2, 2, 1]),
+        clique_tree([3, 2, 4, 2, 3], [4, 9, 1, 17]),
+        build_graph(7, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7)],
+                    {(1, 2): 0.5, (4, 5): 3.0, (6, 7): 1e-3}),
+    ])
+    def test_one_vertex_matches_the_whole_graph(self, g):
+        _, report = classify_perron(g)
+        for v, whole in report.by_vertex.items():
+            alone = vertex_perron_data(g, v)
+            assert alone.components == whole.components
+            assert alone.maximizers == whole.maximizers
+            for a, b in zip(alone.values, whole.values):
+                assert abs(a - b) <= 1e-14 * b
+
+    def test_negative_bottleneck_entry_rejected(self):
+        # R_12 = 10 > R_10 + R_02 = 3 breaks the triangle inequality, so the
+        # matrix grounded at vertex 0 on {1, 2} is [[1, -3.5], [-3.5, 2]],
+        # whose dominant eigenvector has both signs
+        res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
+        with pytest.raises(ArithmeticError, match="not strictly positive"):
+            perron_pairs(res, [0], np.array([[False, True, True]]))
+
+    def test_cap_names_the_vertex_and_component(self, monkeypatch):
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)
+        # the pendant {1} stops after two steps; the first item still running
+        # is {3, 4, 5} at vertex 2
+        with pytest.raises(ConvergenceError, match="cut vertex 2 for its component of 3 vertices"):
+            perron_items(path_graph(5), [2, 3])

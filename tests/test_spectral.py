@@ -29,7 +29,7 @@ from blockspectra import (
 )
 from blockspectra import spectral
 from blockspectra.cli import main
-from _util import clique_tree, delete_vertex_components
+from _util import bottlenecks, clique_tree, delete_vertex_components
 
 
 class TestSpectralSummary:
@@ -383,9 +383,8 @@ class TestBottleneckMatrices:
         for v in dec.articulation_points:
             comps = dec.components_without(v)
             assert comps == tuple(delete_vertex_components(g, v))
-            for comp in comps:
+            for comp, b in bottlenecks(g, v):
                 idx = [u - 1 for u in comp]
-                b = spectral._bottleneck(res, comp, v)
                 inverse = np.linalg.inv(lap[np.ix_(idx, idx)])
                 assert np.array_equal(b, b.T)
                 assert np.abs(b - inverse).max() <= 1e-10 * np.abs(inverse).max()
@@ -455,12 +454,19 @@ class TestRouteIsolation:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"eig_sym": 0, "perron_pair": 0}
-        for name in counts:
-            def counted(*args, _name=name, _original=getattr(spectral, name), **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(spectral, name, counted)
+        counts = {"eig_sym": 0, "perron_pairs": 0, "perron_rows": 0}
+
+        def counted_eig(*args, _original=spectral.eig_sym, **kwargs):
+            counts["eig_sym"] += 1
+            return _original(*args, **kwargs)
+
+        def counted_perron(res, ground, support, _original=spectral.perron_pairs):
+            counts["perron_pairs"] += 1
+            counts["perron_rows"] += len(support)
+            return _original(res, ground, support)
+
+        monkeypatch.setattr(spectral, "eig_sym", counted_eig)
+        monkeypatch.setattr(spectral, "perron_pairs", counted_perron)
         return counts
 
     def test_classify_both_runs_one_eigendecomposition(self, calls, tmp_path, capsys):
@@ -469,28 +475,33 @@ class TestRouteIsolation:
         assert main(["classify", str(path), "--method", "both"]) == 0
         capsys.readouterr()
         assert calls["eig_sym"] == 1
-        assert calls["perron_pair"] > 0
+        assert calls["perron_pairs"] == 1
 
     def test_perron_route_never_calls_eigensolver(self, calls):
+        # one batched power iteration for every component of every cut vertex
         classify_perron(block_starlike(3, 4, [1, 1, 1]))
         assert calls["eig_sym"] == 0
-        assert calls["perron_pair"] > 0
+        assert calls["perron_pairs"] == 1
+        # hub 1 leaves 3 arms; each of the 3 other cut vertices leaves 2 parts
+        assert calls["perron_rows"] == 9
 
     def test_structural_route_never_computes_perron_values(self, calls):
         g = block_starlike(3, 4, [1, 1, 1])
         s = spectral_summary(g)
         classify_structural(g, s.fiedler_basis, s.lambda2)
-        assert calls["perron_pair"] == 0
+        assert calls["perron_pairs"] == 0
         assert calls["eig_sym"] == 1
 
     def test_perron_basis_runs_one_power_iteration_per_component(self, calls):
-        # the fresh K4 at the chain's center is a third, untied component
+        # the fresh K4 at the chain's center is a third, untied component;
+        # one batched call iterates on all three
         g = coalesce(block_path(4, 3), 7, complete_graph(4), 1)
         lambda2 = spectral_summary(g).lambda2
         before = dict(calls)
         (vec,) = perron_fiedler_basis(g, 7, lambda2)
         assert calls["eig_sym"] == before["eig_sym"]
-        assert calls["perron_pair"] - before["perron_pair"] == 3
+        assert calls["perron_pairs"] - before["perron_pairs"] == 1
+        assert calls["perron_rows"] - before["perron_rows"] == 3
 
     @pytest.mark.parametrize("argv", [
         ["classify", "{graph}", "--method", "both"],
