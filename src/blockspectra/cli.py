@@ -215,6 +215,8 @@ def verify(args) -> None:
     evaluated assertion passed."""
     if args.sweep_grid is not None:
         grid = parse_grid(args.sweep_grid)
+        if not grid:
+            raise ValueError("--sweep needs at least one term, such as k=2..6")
         reports = sweep(grid, [args.theorem], jobs=args.jobs)
     else:
         instance = {key: getattr(args, key) for key in ("k", "p", "r", "arms")

@@ -1,7 +1,7 @@
 """Edge-list, DOT and JSON serialization.
 
 The interchange format is a plain text edge list: a header line "n m" followed
-by m lines "u v" or "u v w" (w a positive weight; omitted means 1.0).  Output
+by m lines "u v" or "u v w" (w a positive finite weight; omitted means 1.0).  Output
 is deterministic: edges sorted lexicographically, weights printed with repr so
 parsing them back reproduces the exact Graph.
 

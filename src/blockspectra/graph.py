@@ -1,10 +1,11 @@
 """Undirected simple graphs with dense 1-based vertex labels.
 
-Vertices are always labeled 1..n.  Edges carry strictly positive weights
+Vertices are always labeled 1..n.  Edges carry positive finite weights
 (default 1.0).  Instances are immutable after construction and safe to share
 across threads; every operation in this module is a pure function.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,10 +62,10 @@ def build_graph(n: int, edges, weights=None) -> Graph:
     """Validate and normalize a graph description.
 
     `edges` is an iterable of vertex pairs; `weights` an optional mapping from
-    a pair to a strictly positive weight (unspecified edges default to 1.0).
+    a pair to a positive finite weight (unspecified edges default to 1.0).
     Raises ValueError for self-loops, duplicate or out-of-range edges, and
-    non-positive weights, and for more than DESK_SCALE_LIMIT vertices before
-    reading any edge.
+    weights that are not positive and finite (0, negative, inf or nan), and
+    for more than DESK_SCALE_LIMIT vertices before reading any edge.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
@@ -92,8 +93,10 @@ def build_graph(n: int, edges, weights=None) -> Graph:
             key = (min(u, v), max(u, v))
             if key not in seen:
                 raise ValueError(f"weight given for non-edge ({key[0]},{key[1]})")
-            if not w > 0:
-                raise ValueError(f"non-positive weight {w} on edge ({key[0]},{key[1]})")
+            if not 0 < w < math.inf:
+                raise ValueError(
+                    f"weight {w} on edge ({key[0]},{key[1]}) is not positive and finite"
+                )
             weight_map[key] = float(w)
     return Graph(
         n=n,

@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra, self-contained.
 
 numpy supplies array storage and vector arithmetic only; the eigensolver
-(Householder tridiagonalization, implicit QL, and inverse iteration on the
-tridiagonal when only some eigenvectors are wanted), the SPD factorization
-(Cholesky), and the dominant-eigenpair iteration are implemented here.
+(Householder tridiagonalization, implicit QL for the eigenvalues, and
+inverse iteration on the tridiagonal for the eigenvectors), the SPD
+factorization (Cholesky), and the dominant-eigenpair iteration are
+implemented here.
 Everything targets small dense matrices (desk scale: graph.build_graph
 accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
@@ -17,8 +18,8 @@ no bottleneck matrix is formed.
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
   that way and `eig_sym` rejects anything else;
-* eigenvalues are returned ascending with orthonormal column eigenvectors
-  (all n, or the ones `eig_sym`'s `select` asks for);
+* eigenvalues are returned ascending with orthonormal column eigenvectors,
+  for every index or for the ones `eig_sym`'s `select` asks for;
 * eigenvector signs are fixed so the largest-magnitude entry of each vector
   is positive (ties resolved to the lowest index), making output
   deterministic.
@@ -39,7 +40,8 @@ POWER_MAX_ITER = 50_000
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration cap was hit before the convergence test was met."""
+    """An iteration hit its cap before the convergence test was met, or
+    reached a non-finite value on the way."""
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -70,23 +72,22 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix: every eigenvalue, and the
-    eigenvectors of all of them or of those that `select` picks.
+    eigenvectors of those that `select` picks (of all of them if it is None).
 
     Householder reflections reduce the matrix to tridiagonal form T = Qᵀ m Q,
     one rank-2 update each; implicit Wilkinson-shift QL then finds the
-    eigenvalues of T (EISPACK tred2/tql2; Golub & Van Loan, Matrix
-    Computations, §8.3).  An off-diagonal entry of T is deflated once it is
-    at most QL_DEFLATION_TOL times max |d_i| + |e_i| over the tridiagonal's
-    diagonal d and off-diagonal e.  Raises ConvergenceError if one eigenvalue
-    takes more than QL_MAX_ITER QL steps.
+    eigenvalues of T, on the values alone (EISPACK tred2/tql2 without
+    accumulating Q; Golub & Van Loan, Matrix Computations, §8.3).  An
+    off-diagonal entry of T is deflated once it is at most QL_DEFLATION_TOL
+    times max |d_i| + |e_i| over the tridiagonal's diagonal d and
+    off-diagonal e.  Raises ConvergenceError if one eigenvalue takes more
+    than QL_MAX_ITER QL steps.
 
-    With `select=None` each QL plane rotation is also applied to two rows of
-    Qᵀ, which yields all n eigenvectors.  Otherwise `select(values)` maps the
-    ascending eigenvalues to the indices whose vectors are wanted; QL then
-    runs on the values alone (the same arithmetic, so the same values), each
-    wanted vector of T comes from inverse iteration (`_tridiagonal_vectors`),
-    and the stored reflectors carry it back to m (LAPACK dsterf, dstein,
-    dormtr).  The result then holds those columns only, in the order given.
+    `select(values)` maps the ascending eigenvalues to the indices whose
+    vectors are wanted; each wanted vector of T comes from inverse iteration
+    (`_tridiagonal_vectors`), and the stored reflectors carry it back to m
+    (LAPACK dsterf, dstein, dormtr).  The result holds those columns only,
+    in the order given.
     """
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -96,8 +97,6 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
     n = a.shape[0]
     if n == 0:
         return EigenDecomposition(values=np.zeros(0), vectors=np.zeros((0, 0)))
-    full = select is None
-    qt = np.eye(n) if full else None  # Qᵀ, so that every update below reads and writes rows
     reflectors = []  # (k + 1, v): H = I - 2 v vᵀ acting on rows k + 1 onward
     for k in range(n - 2):
         x = a[k + 1:, k]
@@ -115,19 +114,13 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
         w = p - (v @ p) * v
         vw = v[:, None] * w
         sub -= 2.0 * (vw + vw.T)
-        if full:
-            qt[k + 1:] -= 2.0 * np.outer(v, v @ qt[k + 1:])
-        else:
-            reflectors.append((k + 1, v))
+        reflectors.append((k + 1, v))
 
     diag, off = a.diagonal().copy(), a.diagonal(-1).copy()  # T, kept for inverse iteration
     d = diag.tolist()
     e = off.tolist() + [0.0]  # e[i] couples d[i] and d[i + 1]
     if abs(d[-1]) < abs(d[0]):  # QL suits T larger at the bottom (LAPACK dsteqr)
         d, e = d[::-1], e[-2::-1] + [0.0]
-        if full:
-            qt = qt[::-1].copy()
-    rot, pair = np.empty((2, 2)), np.empty((2, n))
     small = QL_DEFLATION_TOL * max((abs(di) + abs(ei) for di, ei in zip(d, e)), default=0.0)
     for l in range(n):
         steps = 0
@@ -161,11 +154,6 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if full:
-                    rot[0, 0] = rot[1, 1] = c
-                    rot[1, 0] = s
-                    rot[0, 1] = -s
-                    qt[i:i + 2] = np.dot(rot, qt[i:i + 2], out=pair)
             else:
                 d[l] -= p
                 e[l] = g
@@ -173,12 +161,10 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
 
     order = np.argsort(d, kind="stable")
     values = np.array(d)[order]
-    if full:
-        rows = qt[order]
-    else:
-        rows = _tridiagonal_vectors(diag, off, values[list(select(values))]).T
-        for k, v in reversed(reflectors):
-            rows[:, k:] -= 2.0 * np.outer(rows[:, k:] @ v, v)
+    wanted = range(n) if select is None else select(values)
+    rows = _tridiagonal_vectors(diag, off, values[list(wanted)]).T
+    for k, v in reversed(reflectors):
+        rows[:, k:] -= 2.0 * np.outer(rows[:, k:] @ v, v)
     lead = np.abs(rows).argmax(axis=1)
     rows[rows[np.arange(len(rows)), lead] < 0] *= -1.0
     return EigenDecomposition(values=values, vectors=rows.T)
@@ -321,9 +307,10 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     component, so an absolute threshold would fall below one ulp on large
     components.  A row that stops leaves the block, so later steps cost
     less.  Raises ConvergenceError after POWER_MAX_ITER steps, naming the
-    first item still running, and ArithmeticError if a Perron vector is not
-    strictly positive (`res` is then no resistance array: some entry of B is
-    negative).
+    first item still running, or at the first step where some row's Rayleigh
+    quotient is not finite (`res` overflowed), naming that item; and
+    ArithmeticError if a Perron vector is not strictly positive (`res` is
+    then no resistance array: some entry of B is negative).
 
     Returns one PerronData per item, in order; each vector lists C in
     increasing index order and sums to 1.
@@ -358,6 +345,15 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
         y -= y[rows, at][:, None]
         y *= fold  # now B x, row by row, 0 at v
         rq = _row_dots(x, y)
+        finite = np.isfinite(rq)
+        if not finite.all():
+            i = int(finite.argmin())
+            j = int(live[i])
+            raise ConvergenceError(
+                f"power iteration reached a non-finite value {float(rq[i])!r} at step "
+                f"{step} at cut vertex {ground[j] + 1} for its component of "
+                f"{sizes[j]} vertices"
+            )
         done = np.abs(rq - value) < tol * rq
         if done.any():
             out = live[done]

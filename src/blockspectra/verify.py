@@ -447,7 +447,9 @@ def sweep(grid: dict, theorems, jobs: int = 1) -> list[TheoremReport]:
 
 
 def parse_grid(text: str) -> dict:
-    """Parse a grid such as "k=2..6,p=1..8" into {"k": [2..6], "p": [1..8]}."""
+    """Parse a grid such as "k=2..6,p=1..8" into {"k": [2..6], "p": [1..8]};
+    a blank text is the empty grid.  Raises ValueError for a malformed term
+    and for a name given twice."""
     grid: dict[str, list[int]] = {}
     if not text.strip():
         return grid
@@ -458,6 +460,8 @@ def parse_grid(text: str) -> dict:
         name = name.strip()
         if not name:
             raise ValueError(f"grid term {part!r} has an empty name")
+        if name in grid:
+            raise ValueError(f"grid names {name!r} twice")
         span = span.strip()
         if ".." in span:
             lo_text, _, hi_text = span.partition("..")

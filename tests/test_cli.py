@@ -89,6 +89,35 @@ def test_input_above_the_size_cap(capsys, tmp_path, command):
     assert "graph has 401 vertices, above the desk-scale cap 400" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["classify", "--method", "structural"],
+    ["classify", "--method", "perron"],
+])
+def test_infinite_weight_rejected(capsys, monkeypatch, argv):
+    # accepted, it would print lambda2 = Infinity, or a verdict on no vector
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2 inf\n2 3\n"))
+    code, out, err = run(capsys, argv[0], "-", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "weight inf on edge (1,2) is not positive and finite" in err
+
+
+@pytest.mark.parametrize("method", ["perron", "both"])
+def test_overflowing_resistances_fail_fast(capsys, monkeypatch, method):
+    # the edge of weight 1e-308 has resistance 1e308, which overflows the
+    # resistance pass to nan; the power iteration stops at its first
+    # non-finite value instead of running 50 000 steps on nan
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2 1e308\n2 3 1e-308\n"))
+    start = time.perf_counter()
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run(capsys, "classify", "-", "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert "non-finite value nan at step 1 at cut vertex 2" in err
+
+
 @pytest.fixture
 def chain_file(tmp_path):
     path = tmp_path / "chain.edges"
@@ -355,6 +384,15 @@ class TestVerify:
         assert {a for r, a in zip(reports, arms) if r["status"] == "pass"} == {
             (1, 0, 0), (2, 1, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2),
         }
+
+    @pytest.mark.parametrize("grid", ["", " ", "k=2,k=3,p=1"])
+    def test_vacuous_or_repeated_sweep_rejected(self, capsys, grid):
+        # an empty grid would pass having run no instance; a repeated name
+        # would keep only its last term
+        code, out, err = run(capsys, "verify", "--theorem", "twins", "--sweep", grid)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
 
     def test_stdin_default_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify")

@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
@@ -75,8 +77,15 @@ class TestBuildGraph:
             build_graph(3, [(1, 4)])
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(ValueError, match="non-positive weight"):
+        with pytest.raises(ValueError, match="not positive and finite"):
             build_graph(2, [(1, 2)], {(1, 2): 0.0})
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, w):
+        # an infinite weight would make lambda2 Infinity and leave the
+        # structural route no vector to test
+        with pytest.raises(ValueError, match=r"weight .* on edge \(1,2\) is not positive and finite"):
+            build_graph(3, [(1, 2), (2, 3)], {(2, 1): w})
 
     def test_weight_on_non_edge_rejected(self):
         with pytest.raises(ValueError, match="non-edge"):

@@ -45,6 +45,12 @@ def random_symmetric(n, scale=5.0):
     return m + m.T
 
 
+def assert_sign_rule(vectors):
+    """The largest-magnitude entry of each column is positive."""
+    for col in vectors.T:
+        assert col[int(np.argmax(np.abs(col)))] > 0
+
+
 def random_spd(n):
     m = RNG.normal(size=(n, n))
     return m @ m.T + n * np.eye(n)
@@ -88,9 +94,12 @@ class TestEigSym:
         assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-10)
 
     def test_zero_matrix(self):
+        # any orthonormal basis will do; T = 0, so the first solve of inverse
+        # iteration meets only zero pivots, and each is replaced
         dec = eig_sym(np.zeros((4, 4)))
         assert np.array_equal(dec.values, np.zeros(4))
-        assert np.array_equal(dec.vectors, np.eye(4))
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(4)).max() <= 1e-15
+        assert_sign_rule(dec.vectors)
 
     def test_empty_matrix(self):
         dec = eig_sym(np.zeros((0, 0)))
@@ -112,11 +121,14 @@ class TestEigSym:
             assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
     def test_reconstruction_and_orthonormality_at_the_size_cap(self):
-        lap = laplacian(block_path(2, 398))
-        dec = eig_sym(lap)
-        recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
-        assert np.linalg.norm(lap - recon) <= 1e-10 * np.linalg.norm(lap)
-        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(400)).max() <= 1e-10
+        # the star's and K_400's clusters of 398 and 399 vectors are the
+        # largest that inverse iteration must separate
+        for g in (block_path(2, 398), star_graph(399), complete_graph(400)):
+            lap = laplacian(g)
+            dec = eig_sym(lap)
+            recon = dec.vectors @ np.diag(dec.values) @ dec.vectors.T
+            assert np.linalg.norm(lap - recon) <= 1e-10 * np.linalg.norm(lap)
+            assert np.abs(dec.vectors.T @ dec.vectors - np.eye(400)).max() <= 1e-10
 
     def test_matches_reference_eigensolver(self):
         for n in (3, 6, 11, 25):
@@ -139,10 +151,7 @@ class TestEigSym:
         assert np.abs(dec.vectors[:, 0] - expected).max() <= 1e-10
 
     def test_sign_convention(self):
-        dec = eig_sym(random_symmetric(9))
-        for j in range(9):
-            col = dec.vectors[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0
+        assert_sign_rule(eig_sym(random_symmetric(9)).vectors)
 
     def test_deterministic(self):
         m = random_symmetric(10)
@@ -206,14 +215,10 @@ class TestEigSymSelect:
 
     @pytest.mark.parametrize("m", [np.array([[3.5]]), laplacian(path_graph(2))])
     def test_tiny_matrices(self, m):
-        dec = eig_sym(m, select=lambda values: range(len(values)))
-        assert np.abs(dec.vectors - eig_sym(m).vectors).max() <= 1e-15
-
-    def test_zero_matrix_pivots(self):
-        # T = 0: the first solve meets only zero pivots, and each is replaced
-        dec = eig_sym(np.zeros((4, 4)), select=lambda values: [0, 1, 2, 3])
-        assert np.array_equal(dec.values, np.zeros(4))
-        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(4)).max() <= 1e-15
+        vectors = np.linalg.eigh(m)[1]
+        lead = np.abs(vectors).argmax(axis=0)
+        vectors *= np.sign(vectors[lead, np.arange(len(m))])
+        assert np.abs(eig_sym(m).vectors - vectors).max() <= 1e-15
 
     def test_multiple_eigenvalue_at_the_size_cap(self):
         lap = laplacian(block_starlike(4, 6, [15] * 4))
@@ -228,7 +233,8 @@ class TestEigSymSelect:
         lap = laplacian(path_graph(5))
         with pytest.raises(ConvergenceError, match="inverse iteration cap 0"):
             eig_sym(lap, select=lambda values: [1])
-        assert eig_sym(lap).vectors.shape == (5, 5)  # the full decomposition takes no such step
+        with pytest.raises(ConvergenceError, match="inverse iteration cap 0"):
+            eig_sym(lap)  # every vector comes from inverse iteration
 
 
 def spd_solve(m, b):
@@ -403,6 +409,17 @@ class TestPerronPairs:
         res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
         with pytest.raises(ArithmeticError, match="not strictly positive"):
             perron_pairs(res, [0], np.array([[False, True, True]]))
+
+    def test_non_finite_value_fails_at_once(self):
+        # 2 R_34 overflows in the second item's B x, while the first item
+        # stays finite; on inf or nan the cap would take 50 000 steps
+        res = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                        [2.0, 1.0, 0.0, 1e308], [3.0, 2.0, 1e308, 0.0]])
+        support = np.array([[False, True, False, False], [False, False, False, True]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ConvergenceError, match="non-finite value inf at step 1 at "
+                               "cut vertex 3 for its component of 1 vertices"):
+                perron_pairs(res, [0, 2], support)
 
     def test_cap_names_the_vertex_and_component(self, monkeypatch):
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)

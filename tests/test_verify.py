@@ -254,6 +254,11 @@ class TestGridParsing:
     def test_empty(self):
         assert parse_grid("") == {}
 
+    def test_repeated_name_rejected(self):
+        # otherwise the later term would silently replace the earlier one
+        with pytest.raises(ValueError, match="'k' twice"):
+            parse_grid("k=2,k=3,p=1")
+
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_grid("k~2..6")
