@@ -220,6 +220,12 @@ class TestEigSymSelect:
         vectors *= np.sign(vectors[lead, np.arange(len(m))])
         assert np.abs(eig_sym(m).vectors - vectors).max() <= 1e-15
 
+    def test_zero_matrix_pivots(self):
+        # T = 0: the first solve meets only zero pivots, and each is replaced
+        dec = eig_sym(np.zeros((4, 4)), select=lambda values: [0, 1, 2, 3])
+        assert np.array_equal(dec.values, np.zeros(4))
+        assert np.abs(dec.vectors.T @ dec.vectors - np.eye(4)).max() <= 1e-15
+
     def test_multiple_eigenvalue_at_the_size_cap(self):
         lap = laplacian(block_starlike(4, 6, [15] * 4))
         dec = eig_sym(lap, select=spectral._fiedler_cluster)
