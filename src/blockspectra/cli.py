@@ -13,6 +13,8 @@ JSON output is stable-ordered (sorted keys) so runs can be diffed.
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .blocks import is_block_graph
 from .fileio import format_dot, format_edge_list, format_json, parse_edge_list
@@ -217,7 +219,7 @@ def verify(args) -> None:
         grid = parse_grid(args.sweep_grid)
         if not grid:
             raise ValueError("--sweep needs at least one term, such as k=2..6")
-        reports = sweep(grid, [args.theorem], jobs=args.jobs)
+        reports = sweep(grid, [args.theorem])
     else:
         instance = {key: getattr(args, key) for key in ("k", "p", "r", "arms")
                     if getattr(args, key) is not None}
@@ -263,16 +265,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
 
 
 def _command(commands, name: str, summary: str, run) -> _Parser:
@@ -328,9 +320,6 @@ def _build_parser() -> _Parser:
     sub.add_argument("--sweep", dest="sweep_grid",
                      help='Parameter grid such as "k=2..6,p=1..8"; overrides '
                           "single-instance options.")
-    sub.add_argument("--jobs", type=_jobs, default=1,
-                     help="Worker processes for sweeps; report order is unaffected. "
-                          "[default: 1]")
     sub.add_argument("--json", dest="json_out", help="Write the JSON report to a file.")
     sub.add_argument("--csv", dest="csv_out", help="Write the CSV report to a file.")
     return parser
@@ -345,7 +334,10 @@ def main(argv=None) -> int:
             args = _PARSER.parse_args(argv)
         except SystemExit:  # --help or --version has written its text
             return EXIT_OK
-        args.run(args)
+        # every non-finite value is caught and named by a finiteness check,
+        # so numpy's own warnings would only repeat it, with source lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -109,7 +109,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
         multiplicity=dec.vectors.shape[1],
         fiedler_basis=dec.vectors,
         spectrum=spectrum,
-        connected=lam2 > 1e-8 * max(float(spectrum[-1]), 1.0),
+        connected=lam2 > 1e-8 * float(spectrum[-1]),
     )
 
 
@@ -117,8 +117,7 @@ def _fiedler_cluster(spectrum: np.ndarray) -> list[int]:
     """Indices of the ascending Laplacian spectrum within
     MULTIPLICITY_REL_TOL (relative) of the second-smallest value."""
     lam2 = float(spectrum[1])
-    scale = max(float(spectrum[-1]), 1.0)
-    tol = MULTIPLICITY_REL_TOL * max(abs(lam2), 1e-12 * scale)
+    tol = MULTIPLICITY_REL_TOL * max(abs(lam2), 1e-12 * float(spectrum[-1]))
     return [i for i in range(1, len(spectrum)) if abs(float(spectrum[i]) - lam2) <= tol]
 
 
@@ -303,8 +302,9 @@ def classify_structural(
 
     basis is n x m; a caller with one vector y passes y[:, None].  lambda2 is
     the graph's algebraic connectivity, as the caller's `spectral_summary`
-    found it.  Every column is first verified to be a lambda2 eigenvector
-    (relative residual <= RESIDUAL_REL_TOL).  Entries within
+    found it.  Every column y is first verified to be a lambda2 eigenvector
+    (residual <= RESIDUAL_REL_TOL * |y| * the largest edge weight, so
+    scaling every weight changes no verdict).  Entries within
     zero_tol * max|y| of zero count as zero; zero_tol must be finite and
     >= 0.  Raises ClassificationError when a sign pattern fits neither case,
     which signals a tolerance misconfiguration rather than a property of the
@@ -316,8 +316,9 @@ def classify_structural(
         raise ValueError(f"basis has shape {basis.shape}, expected ({g.n}, m)")
     dec = _cut_vertex_blocks(g)
     residuals = np.linalg.norm(laplacian(g) @ basis - lambda2 * basis, axis=0)
+    scale = max(g.weights)
     for j, (residual, norm) in enumerate(zip(residuals, np.linalg.norm(basis, axis=0))):
-        if residual > RESIDUAL_REL_TOL * max(float(norm), 1e-300):
+        if residual > RESIDUAL_REL_TOL * max(float(norm), 1e-300) * scale:
             raise ValueError(
                 f"column {j} is not a lambda2 eigenvector (residual {residual:.3e})"
             )
@@ -427,7 +428,8 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
     C_1, -x_i on C_i, and zero elsewhere.  lambda2 is the graph's algebraic
     connectivity, as the caller's `spectral_summary` found it; the reciprocal
     tied Perron value must agree with it, and each vector is verified to
-    satisfy the eigen equation at that reciprocal.
+    satisfy the eigen equation at that reciprocal, to the bound
+    `classify_structural` applies.
     """
     data, perron_vectors = _cut_vertex_perron(g, z)
     if len(data.maximizers) < 2:
@@ -445,7 +447,7 @@ def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
         vec[[v - 1 for v in data.components[first]]] = perron_vectors[first]
         vec[[v - 1 for v in data.components[other]]] = -perron_vectors[other]
         residual = float(np.linalg.norm(lap @ vec - lam2 * vec))
-        if residual > RESIDUAL_REL_TOL * float(np.linalg.norm(vec)):
+        if residual > RESIDUAL_REL_TOL * float(np.linalg.norm(vec)) * max(g.weights):
             raise ClassificationError(
                 f"constructed basis vector {i} fails the eigen equation "
                 f"(residual {residual:.3e})"

@@ -417,33 +417,18 @@ def run_theorem(theorem: str, instance: dict) -> TheoremReport:
     )
 
 
-def _run_pair(pair) -> TheoremReport:
-    theorem, instance = pair
-    return run_theorem(theorem, instance)
-
-
-def sweep(grid: dict, theorems, jobs: int = 1) -> list[TheoremReport]:
+def sweep(grid: dict, theorems) -> list[TheoremReport]:
     """Run each named checker on every point of the cartesian grid, in grid
-    order, collecting one report per (theorem, instance).
-
-    jobs > 1 evaluates instances in a process pool; reports come back in the
-    same deterministic grid order regardless of the worker count.
-    """
+    order, collecting one report per (theorem, instance)."""
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[key] for key in keys))) if keys else []
     for theorem in theorems:
         _require_theorem(theorem)
-    work = [
-        (theorem, dict(zip(keys, combo)))
+    return [
+        run_theorem(theorem, dict(zip(keys, combo)))
         for theorem in theorems
         for combo in combos
     ]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_pair, work))
-    return [_run_pair(pair) for pair in work]
 
 
 def parse_grid(text: str) -> dict:

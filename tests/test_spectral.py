@@ -352,6 +352,41 @@ class TestLargePerronValues:
         _assert_routes_agree_on(light, ("B", 7))
 
 
+_SCALED_GRAPHS = {
+    "block_path(4,3)": block_path(4, 3),
+    "path_graph(3)": path_graph(3),
+    "block_starlike(3,3,[2,1,1])": block_starlike(3, 3, [2, 1, 1]),
+}
+
+
+def _verdicts(g):
+    s = spectral_summary(g)
+    perron_c, _ = classify_perron(g)
+    structural = [(c.verdict, c.zero_vertex)
+                  for c in classify_structural(g, s.fiedler_basis, s.lambda2)]
+    basis = (len(perron_fiedler_basis(g, perron_c.zero_vertex, s.lambda2))
+             if perron_c.verdict == "B" else None)
+    return s, ((perron_c.verdict, perron_c.zero_vertex), structural, basis,
+               s.multiplicity, s.connected)
+
+
+class TestScaleFree:
+    """Scaling every edge weight by c scales the Laplacian by c, so no
+    verdict, multiplicity or connectivity flag may change, and lambda2 / c
+    must stay put; every tolerance of the structural route is relative."""
+
+    @pytest.mark.parametrize("exponent", range(-100, 101, 10))
+    @pytest.mark.parametrize("name", sorted(_SCALED_GRAPHS))
+    def test_uniform_weight_scale(self, name, exponent):
+        g = _SCALED_GRAPHS[name]
+        c = 10.0 ** exponent
+        scaled = build_graph(g.n, g.edges, {e: c for e in g.edges})
+        base, expected = _verdicts(g)
+        s, found = _verdicts(scaled)
+        assert found == expected
+        assert s.lambda2 / c == pytest.approx(base.lambda2, rel=1e-9)
+
+
 @st.composite
 def weighted_clique_trees(draw):
     """Random clique trees, half of them with random positive edge weights."""

@@ -232,15 +232,6 @@ class TestSweep:
         assert report.status == "error"
         assert "missing parameter" in report.failures[0]
 
-    def test_parallel_sweep_preserves_order_and_results(self):
-        grid = {"k": [2, 3, 4], "p": [1, 2]}
-        serial = sweep(grid, ["path-parity"])
-        parallel = sweep(grid, ["path-parity"], jobs=3)
-        assert [r.instance for r in serial] == [r.instance for r in parallel]
-        assert [r.status for r in serial] == [r.status for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert a.measurements == b.measurements
-
 
 class TestGridParsing:
     def test_ranges(self):
