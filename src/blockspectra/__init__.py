@@ -41,7 +41,6 @@ from .graph import (
 from .linalg import (
     ConvergenceError,
     EigenDecomposition,
-    NotPositiveDefiniteError,
     PerronData,
     eig_sym,
     laplacian,
@@ -82,7 +81,6 @@ __all__ = [
     "ConvergenceError",
     "EigenDecomposition",
     "Graph",
-    "NotPositiveDefiniteError",
     "PerronData",
     "PerronReport",
     "SpectralSummary",

@@ -3,11 +3,13 @@
 Subcommands: `gen` (emit a graph as an edge list or DOT), `spectrum`
 (eigenvalues and Fiedler basis as JSON), `classify` (case A/B by either or
 both methods), and `verify` (run a checker on one instance or over a
-parameter sweep).
+parameter sweep).  Each prints its one document on stdout; redirect it to
+keep it.
 
 Exit codes: 0 success / all assertions pass, 1 usage or input error,
-2 assertion failure or classifier disagreement, 3 numerical non-convergence.
-JSON output is stable-ordered (sorted keys) so runs can be diffed.
+2 assertion failure or classifier disagreement, 3 numerical breakdown (any
+ConvergenceError).  JSON output is stable-ordered (sorted keys) so runs can
+be diffed.
 """
 
 import argparse
@@ -68,13 +70,9 @@ def _envelope(command: str, instance: str, tolerances: dict, payload_kind: str,
     return format_json(doc)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        # flushed, so it precedes any later stderr line in a shared pipe
-        print(text, end="", flush=True)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+def _emit(text: str) -> None:
+    # flushed, so it precedes any later stderr line in a shared pipe
+    print(text, end="", flush=True)
 
 
 def _read_graph(path: str):
@@ -129,7 +127,7 @@ _FAMILIES = {
 
 def gen(args) -> None:
     g = args.build(args)
-    _emit(format_dot(g) if args.format == "dot" else format_edge_list(g), args.out)
+    _emit(format_dot(g) if args.format == "dot" else format_edge_list(g))
 
 
 def spectrum(args) -> None:
@@ -150,7 +148,7 @@ def spectrum(args) -> None:
     }
     tolerances = {"eig_tol": QL_DEFLATION_TOL}
     _emit(_envelope("spectrum", f"graph from {args.input}", tolerances, "spectrum",
-                    payload), args.out)
+                    payload))
 
 
 def classify(args) -> None:
@@ -207,7 +205,7 @@ def classify(args) -> None:
         payload["agreement"] = len(verdicts) == 1
 
     _emit(_envelope("classify", f"graph from {args.input}", tolerances,
-                    "classification", payload), args.out)
+                    "classification", payload))
     if payload.get("agreement") is False:
         raise CheckFailed(f"classifiers disagree: {sorted(verdicts)}")
 
@@ -227,14 +225,7 @@ def verify(args) -> None:
             raise ValueError("provide instance parameters or --sweep")
         reports = [run_theorem(args.theorem, instance)]
 
-    text = reports_to_json(reports)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    if args.csv_out:
-        with open(args.csv_out, "w", encoding="ascii") as fh:
-            fh.write(reports_to_csv(reports))
-    _emit(text, None)
+    _emit(reports_to_csv(reports) if args.csv else reports_to_json(reports))
 
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     for report in reports:
@@ -293,11 +284,9 @@ def _build_parser() -> _Parser:
             sub.add_argument(flag, type=kind, required=True, help=text)
         sub.add_argument("--format", choices=["edgelist", "dot"], default="edgelist",
                          help="Output format. [default: edgelist]")
-        sub.add_argument("--out", help="Write to a file instead of stdout.")
 
     sub = _command(commands, "spectrum", spectrum.__doc__, spectrum)
     sub.add_argument("input", nargs="?", default="-")
-    sub.add_argument("--out", help="Write JSON to a file instead of stdout.")
 
     sub = _command(commands, "classify", classify.__doc__, classify)
     sub.add_argument("input", nargs="?", default="-")
@@ -308,7 +297,6 @@ def _build_parser() -> _Parser:
                           "[default: %(default)s]")
     sub.add_argument("--tie-tol", type=float, default=TIE_REL_TOL,
                      help="Relative tolerance for tied Perron values. [default: %(default)s]")
-    sub.add_argument("--out", help="Write JSON to a file instead of stdout.")
 
     sub = _command(commands, "verify", verify.__doc__, verify)
     sub.add_argument("--theorem", required=True, choices=sorted(THEOREM_RUNNERS),
@@ -320,8 +308,8 @@ def _build_parser() -> _Parser:
     sub.add_argument("--sweep", dest="sweep_grid",
                      help='Parameter grid such as "k=2..6,p=1..8"; overrides '
                           "single-instance options.")
-    sub.add_argument("--json", dest="json_out", help="Write the JSON report to a file.")
-    sub.add_argument("--csv", dest="csv_out", help="Write the CSV report to a file.")
+    sub.add_argument("--csv", action="store_true",
+                     help="Print the report as CSV instead of JSON.")
     return parser
 
 

@@ -117,6 +117,11 @@ def _bfs_distances(g: Graph, source: int) -> dict[int, int]:
     return dist
 
 
+def is_connected(g: Graph) -> bool:
+    """True iff one breadth-first search from vertex 1 reaches every vertex."""
+    return len(_bfs_distances(g, 1)) == g.n
+
+
 def center(g: Graph) -> tuple[int, ...]:
     """All vertices of minimum eccentricity, sorted.  Raises ValueError if g
     is disconnected."""

@@ -40,12 +40,9 @@ POWER_MAX_ITER = 50_000
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration hit its cap before the convergence test was met, or
-    reached a non-finite value on the way."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky factorization found a non-positive pivot."""
+    """A numerical breakdown: an iteration hit its cap before the
+    convergence test was met or reached a non-finite value on the way, a
+    Cholesky pivot was not positive, or a Perron vector was not positive."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -257,14 +254,17 @@ def _tridiagonal_vectors(diag, off, lams):
 
 
 def cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m; raises NotPositiveDefiniteError."""
+    """Lower-triangular L with L @ L.T == m; raises ConvergenceError at the
+    first pivot that is not positive and finite (m is not SPD, or rounding
+    cancelled the pivot)."""
     n = m.shape[0]
     lower = np.zeros_like(m, dtype=float)
     for j in range(n):
         pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
         if not (pivot > 0.0) or not math.isfinite(pivot):
-            raise NotPositiveDefiniteError(
-                f"non-positive pivot {pivot!r} at column {j}; matrix is not SPD"
+            raise ConvergenceError(
+                f"non-positive pivot {float(pivot)!r} at column {j}; "
+                "matrix is not SPD in floating point"
             )
         lower[j, j] = math.sqrt(pivot)
         if j + 1 < n:
@@ -308,9 +308,9 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     components.  A row that stops leaves the block, so later steps cost
     less.  Raises ConvergenceError after POWER_MAX_ITER steps, naming the
     first item still running, or at the first step where some row's Rayleigh
-    quotient is not finite (`res` overflowed), naming that item; and
-    ArithmeticError if a Perron vector is not strictly positive (`res` is
-    then no resistance array: some entry of B is negative).
+    quotient is not finite (`res` overflowed), naming that item; and if a
+    Perron vector is not strictly positive (`res` is then no resistance
+    array, some entry of B being negative, or rounding zeroed an entry).
 
     Returns one PerronData per item, in order; each vector lists C in
     increasing index order and sums to 1.
@@ -374,10 +374,10 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     bad = ~(vectors > 0) & support
     if bad.any():
         j = int(bad.any(axis=1).argmax())
-        raise ArithmeticError(
+        raise ConvergenceError(
             f"dominant eigenvector of the component of {sizes[j]} vertices at cut "
-            f"vertex {ground[j] + 1} is not strictly positive; input is not a "
-            "resistance array"
+            f"vertex {ground[j] + 1} is not strictly positive; the input is not a "
+            "resistance array, or rounding zeroed an entry"
         )
     flat, ends = vectors[support], np.cumsum(sizes).tolist()
     return [

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockDecomposition
-from .graph import Graph
+from .graph import Graph, is_connected
 from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pairs
 
 ZERO_REL_TOL = 1e-7
@@ -93,8 +93,9 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     Every eigenvalue is computed, but eigenvectors only for the lambda2
     cluster: the eigenvalues within MULTIPLICITY_REL_TOL (relative) of the
     second-smallest one (`_fiedler_cluster`), whose count is the
-    multiplicity.  A disconnected graph is flagged (lambda2 ~ 0) rather than
-    rejected.
+    multiplicity.  A disconnected graph is flagged rather than rejected;
+    `connected` comes from the graph itself (`graph.is_connected`), not from
+    lambda2, which rounding can make tiny on a connected graph.
     """
     if g.n == 1:
         return SpectralSummary(
@@ -102,14 +103,12 @@ def spectral_summary(g: Graph) -> SpectralSummary:
             spectrum=np.zeros(1), connected=True,
         )
     dec = eig_sym(laplacian(g), select=_fiedler_cluster)
-    spectrum = dec.values
-    lam2 = float(spectrum[1])
     return SpectralSummary(
-        lambda2=lam2,
+        lambda2=float(dec.values[1]),
         multiplicity=dec.vectors.shape[1],
         fiedler_basis=dec.vectors,
-        spectrum=spectrum,
-        connected=lam2 > 1e-8 * float(spectrum[-1]),
+        spectrum=dec.values,
+        connected=is_connected(g),
     )
 
 

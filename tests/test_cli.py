@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import json
@@ -12,7 +13,17 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import blockspectra
-from blockspectra import block_path, block_starlike, format_edge_list, linalg, parse_edge_list
+from blockspectra import (
+    block_path,
+    block_starlike,
+    build_graph,
+    format_edge_list,
+    linalg,
+    parse_edge_list,
+    reports_to_csv,
+    run_theorem,
+    star_graph,
+)
 from blockspectra.cli import main
 
 
@@ -46,12 +57,12 @@ class TestGen:
         assert code == 0
         assert "graph" in out and "1 -- 2;" in out
 
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "g.edges"
-        code, out, _ = run(capsys, "gen", "star", "-q", "3", "--out", str(path))
+    def test_stdout_round_trip(self, capsys):
+        # every command prints its document on stdout; redirection saves it
+        code, out, err = run(capsys, "gen", "star", "-q", "3")
         assert code == 0
-        assert out == ""
-        assert parse_edge_list(path.read_text()).n == 4
+        assert err == ""
+        assert parse_edge_list(out) == star_graph(3)
 
     def test_invalid_parameters(self, capsys):
         code, _, err = run(capsys, "gen", "block-path", "-k", "1", "-p", "3")
@@ -133,6 +144,54 @@ def test_overflowing_resistances_fail_fast(capsys, monkeypatch, argv, message):
     assert err.splitlines() == [message]
 
 
+def _weak_path(w):
+    """The case-A path on 5 vertices with weight w on its edge (2,3)."""
+    return f"5 4\n1 2\n2 3 {w}\n3 4\n4 5\n"
+
+
+def _uniform(g, w):
+    return format_edge_list(build_graph(g.n, g.edges, {e: w for e in g.edges}))
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_weak_path("1e-18"), id="weak-path-1e-18"),
+    pytest.param(_weak_path("1e-50"), id="weak-path-1e-50"),
+    pytest.param("4 4\n1 2 1e-20\n2 3\n1 3 1e-20\n3 4\n", id="triangle-1e-20"),
+    pytest.param("3 2\n1 2 1e308\n2 3 1e-308\n", id="path-1e308-1e-308"),
+    pytest.param(_uniform(block_path(4, 3), 1e-160), id="block-path-1e-160"),
+    pytest.param(_uniform(block_path(4, 3), 1e300), id="block-path-1e300"),
+    pytest.param("5 4\n1 2 1e-12\n2 3\n3 4\n4 5 1e-12\n", id="case-B-path-1e-12"),
+])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["classify", "--method", "perron"],
+    ["classify", "--method", "structural"],
+    ["classify", "--method", "both"],
+], ids=["spectrum", "perron", "structural", "both"])
+def test_no_command_ends_in_a_traceback(capsys, monkeypatch, text, argv):
+    # valid graphs with extreme weights: each run returns an exit code and
+    # at most one stderr line, whatever its verdict
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, _, err = run(capsys, argv[0], "-", *argv[1:])
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "-n", "3", "--out", "x"],
+    ["spectrum", "-", "--out", "x"],
+    ["classify", "-", "--out", "x"],
+    ["verify", "--theorem", "path-parity", "-k", "2", "-p", "1", "--json", "x"],
+    ["verify", "--theorem", "path-parity", "-k", "2", "-p", "1", "--csv", "x"],
+], ids=["gen", "spectrum", "classify", "verify-json", "verify-csv"])
+def test_file_options_are_unknown(capsys, argv):
+    # output goes to stdout only; no command opens a file for writing
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 @pytest.fixture
 def chain_file(tmp_path):
     path = tmp_path / "chain.edges"
@@ -184,6 +243,14 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["spectrum"]["connected"] is False
         assert abs(doc["spectrum"]["lambda2"]) <= 1e-10
+
+    @pytest.mark.parametrize("w", ["1e-9", "1e-12", "1e-50"])
+    def test_weak_edge_stays_connected(self, capsys, monkeypatch, w):
+        # lambda2 is tiny here, but connectivity is read from the graph
+        monkeypatch.setattr("sys.stdin", io.StringIO(_weak_path(w)))
+        code, out, _ = run(capsys, "spectrum", "-")
+        assert code == 0
+        assert json.loads(out)["spectrum"]["connected"] is True
 
     def test_reads_stdin(self, capsys, monkeypatch):
         import io
@@ -362,15 +429,20 @@ class TestVerify:
         assert code == 1
         assert "instance parameters" in err
 
-    def test_report_files(self, capsys, tmp_path):
-        jpath = tmp_path / "r.json"
-        cpath = tmp_path / "r.csv"
-        code, _, _ = run(capsys, "verify", "--theorem", "equal-arms",
-                         "-r", "3", "-k", "3", "-p", "1",
-                         "--json", str(jpath), "--csv", str(cpath))
+    def test_csv_on_stdout(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "equal-arms",
+                             "-r", "3", "-k", "3", "-p", "1", "--csv")
         assert code == 0
-        assert json.loads(jpath.read_text())[0]["status"] == "pass"
-        assert cpath.read_text().startswith("theorem,")
+        assert err == "# 1 pass, 0 fail, 0 skip, 0 error\n"
+        expected = reports_to_csv([run_theorem("equal-arms", {"r": 3, "k": 3, "p": 1})])
+
+        def without_elapsed(text):
+            rows = list(csv.reader(io.StringIO(text)))
+            at = rows[0].index("elapsed_s")
+            return [row[:at] + row[at + 1:] for row in rows]
+
+        assert out.startswith("theorem,")
+        assert without_elapsed(out) == without_elapsed(expected)
 
     def test_starlike_instance(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "starlike-A",

@@ -68,11 +68,10 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="self-loop"):
             parse_edge_list("2 1\n1 1\n")
 
-    def test_file_round_trip(self, tmp_path):
-        # the CLI writes graph files with `gen --out` and reads them back
-        path = tmp_path / "chain.edges"
-        assert main(["gen", "block-path", "-k", "3", "-p", "2", "--out", str(path)]) == 0
-        assert parse_edge_list(path.read_text(encoding="ascii")) == block_path(3, 2)
+    def test_stdout_round_trip(self, capsys):
+        # the CLI prints graph files with `gen` and reads them back
+        assert main(["gen", "block-path", "-k", "3", "-p", "2"]) == 0
+        assert parse_edge_list(capsys.readouterr().out) == block_path(3, 2)
 
 
 class TestDot:
