@@ -48,12 +48,10 @@ from .linalg import (
 from .spectral import (
     CaseClassification,
     ClassificationError,
-    PerronReport,
     SpectralSummary,
     VertexPerronData,
     classify_perron,
     classify_structural,
-    perron_fiedler_basis,
     spectral_summary,
     vertex_perron_data,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "EigenDecomposition",
     "Graph",
     "PerronData",
-    "PerronReport",
     "SpectralSummary",
     "StarlikeProfile",
     "TheoremReport",
@@ -114,7 +111,6 @@ __all__ = [
     "parse_edge_list",
     "parse_grid",
     "path_graph",
-    "perron_fiedler_basis",
     "reports_to_csv",
     "reports_to_json",
     "run_theorem",

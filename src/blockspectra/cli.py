@@ -162,7 +162,7 @@ def classify(args) -> None:
     tolerances: dict = {}  # those of the routes that run
 
     if method in ("perron", "both"):
-        classification, report = classify_perron(g, tie_rel_tol=tie_tol)
+        classification, by_vertex = classify_perron(g, tie_rel_tol=tie_tol)
         tolerances["tie_tol"] = tie_tol
         perron_verdict = (classification.verdict, classification.zero_vertex)
         payload["perron"] = {
@@ -180,7 +180,7 @@ def classify(args) -> None:
                     "maximizers": list(data.maximizers),
                     "tie_margin": data.tie_margin,
                 }
-                for v, data in sorted(report.by_vertex.items())
+                for v, data in sorted(by_vertex.items())
             },
         }
 

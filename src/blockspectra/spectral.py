@@ -14,7 +14,9 @@ a given Fiedler basis.  `classify_perron` decides the same dichotomy through
 an independent route: for each cut vertex it compares the dominant
 eigenvalues of the inverses of the component submatrices (their "Perron
 values"); two or more tied maximizers at some vertex means case B at that
-vertex.
+vertex.  It returns the verdict with a dict from each cut vertex to its
+`VertexPerronData`: the components, their Perron values, the maximizers and
+the tie margin.
 
 The Perron route reads only edge weights and the block-cut tree, which
 `Graph.decomposition` builds and roots once per graph.  The components of g
@@ -74,11 +76,6 @@ class VertexPerronData:
 
 
 @dataclass(frozen=True)
-class PerronReport:
-    by_vertex: dict[int, VertexPerronData]
-
-
-@dataclass(frozen=True)
 class CaseClassification:
     verdict: str                                        # "A" or "B"
     zero_vertex: int | None = None                      # case B
@@ -121,13 +118,8 @@ def _fiedler_cluster(spectrum: np.ndarray) -> list[int]:
 
 
 def vertex_perron_data(g: Graph, v: int) -> VertexPerronData:
-    """Perron values of all components of g minus the cut vertex v."""
-    return _cut_vertex_perron(g, v)[0]
-
-
-def _cut_vertex_perron(g, v):
-    """`_vertex_perron` at v from g alone; raises ValueError unless v is a
-    cut vertex of g."""
+    """Perron values of all components of g minus v; raises ValueError
+    unless v is a cut vertex of g."""
     dec = g.decomposition
     if v not in dec.articulation_points:
         raise ValueError(f"vertex {v} is not a cut vertex of the graph")
@@ -135,10 +127,9 @@ def _cut_vertex_perron(g, v):
 
 
 def _vertex_perron(res, dec, vertices, tie_rel_tol):
-    """{v: (`vertex_perron_data` at v, the Perron vector of each component of
-    g minus v)} for the cut vertices `vertices`, from the graph's
-    resistances `res`: one `perron_pairs` call serves every component of
-    every vertex."""
+    """{v: `vertex_perron_data` at v} for the cut vertices `vertices`, from
+    the graph's resistances `res`: one `perron_pairs` call serves every
+    component of every vertex."""
     comps = [dec.components_without(v) for v in vertices]
     flat = [c for cs in comps for c in cs]
     sizes = [len(c) for c in flat]
@@ -151,19 +142,17 @@ def _vertex_perron(res, dec, vertices, tie_rel_tol):
     pairs = iter(perron_pairs(res, ground, support))
     out = {}
     for v, components in zip(vertices, comps):
-        perron = [next(pairs) for _ in components]
-        values = tuple(p.value for p in perron)
+        values = tuple(next(pairs).value for _ in components)
         best = max(values)
         maximizers = tuple(
             i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
         )
         rest = [val for i, val in enumerate(values) if i not in maximizers]
         margin = (best - max(rest)) / best if rest else None
-        data = VertexPerronData(
+        out[v] = VertexPerronData(
             vertex=v, components=components, values=values,
             maximizers=maximizers, tie_margin=margin,
         )
-        out[v] = data, [p.vector for p in perron]
     return out
 
 
@@ -232,8 +221,9 @@ def classify_perron(
     g: Graph,
     *,
     tie_rel_tol: float = TIE_REL_TOL,
-) -> tuple[CaseClassification, PerronReport]:
-    """Case A/B decision from Perron values at every cut vertex.
+) -> tuple[CaseClassification, dict[int, VertexPerronData]]:
+    """Case A/B decision from Perron values at every cut vertex, with the
+    `VertexPerronData` of each cut vertex, keyed by vertex.
 
     Case B is reported at the unique vertex whose deleted components have two
     or more tied maximal Perron values; if every cut vertex has a unique
@@ -243,9 +233,7 @@ def classify_perron(
     """
     _check_tolerance("tie_rel_tol", tie_rel_tol)
     dec = _cut_vertex_blocks(g)
-    perron = _vertex_perron(_resistances(g, dec), dec, dec.articulation_points, tie_rel_tol)
-    by_vertex = {v: data for v, (data, _) in perron.items()}
-    report = PerronReport(by_vertex=by_vertex)
+    by_vertex = _vertex_perron(_resistances(g, dec), dec, dec.articulation_points, tie_rel_tol)
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
     if len(tied) > 1:
         raise ClassificationError(
@@ -254,8 +242,7 @@ def classify_perron(
         )
     if tied:
         z = tied[0]
-        data = by_vertex[z]
-        perron_comps = data.perron_components()
+        perron_comps = by_vertex[z].perron_components()
         classification = CaseClassification(
             verdict="B",
             zero_vertex=z,
@@ -264,7 +251,7 @@ def classify_perron(
         )
     else:
         classification = CaseClassification(verdict="A")
-    return classification, report
+    return classification, by_vertex
 
 
 def _cut_vertex_blocks(g: Graph) -> BlockDecomposition:
@@ -416,40 +403,3 @@ def _classify_case_b(g, dec, signs):
         perron_components=None,
         predicted_multiplicity=None,
     )
-
-
-def perron_fiedler_basis(g: Graph, z: int, lambda2: float) -> list[np.ndarray]:
-    """Eigenspace basis built from the Perron vectors of the tied components
-    at the case-B vertex z.
-
-    With tied components C_1..C_m at z and x_i the sum-normalized Perron
-    vector of the inverse of the C_i submatrix, basis vector i-1 places x_1 on
-    C_1, -x_i on C_i, and zero elsewhere.  lambda2 is the graph's algebraic
-    connectivity, as the caller's `spectral_summary` found it; the reciprocal
-    tied Perron value must agree with it, and each vector is verified to
-    satisfy the eigen equation at that reciprocal, to the bound
-    `classify_structural` applies.
-    """
-    data, perron_vectors = _cut_vertex_perron(g, z)
-    if len(data.maximizers) < 2:
-        raise ValueError(f"vertex {z} does not have tied Perron components")
-    lam2 = 1.0 / data.values[data.maximizers[0]]
-    if abs(lam2 - lambda2) > RESIDUAL_REL_TOL * max(lambda2, 1e-300):
-        raise ClassificationError(
-            f"reciprocal Perron value {lam2!r} disagrees with lambda2 {lambda2!r}"
-        )
-    first, *others = data.maximizers
-    lap = laplacian(g)
-    basis = []
-    for i, other in enumerate(others, start=1):
-        vec = np.zeros(g.n)
-        vec[[v - 1 for v in data.components[first]]] = perron_vectors[first]
-        vec[[v - 1 for v in data.components[other]]] = -perron_vectors[other]
-        residual = float(np.linalg.norm(lap @ vec - lam2 * vec))
-        if residual > RESIDUAL_REL_TOL * float(np.linalg.norm(vec)) * max(g.weights):
-            raise ClassificationError(
-                f"constructed basis vector {i} fails the eigen equation "
-                f"(residual {residual:.3e})"
-            )
-        basis.append(vec)
-    return basis

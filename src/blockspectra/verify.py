@@ -139,12 +139,12 @@ def check_path_parity(k: int, p: int) -> TheoremReport:
         raise ValueError(f"parity check needs p >= 1, got {p}")
     rec = _Recorder("path-parity", {"k": k, "p": p})
     g = block_path(k, p)
-    classification, report = classify_perron(g)
+    classification, by_vertex = classify_perron(g)
     expected = "B" if p % 2 == 1 else "A"
     rec.measure("verdict", classification.verdict)
     rec.require("verdict matches parity", classification.verdict == expected,
                 classification.verdict, expected)
-    margins = [d.tie_margin for d in report.by_vertex.values() if d.tie_margin is not None]
+    margins = [d.tie_margin for d in by_vertex.values() if d.tie_margin is not None]
     if margins:
         rec.measure("min_distinct_margin_rel", min(margins))
     if classification.verdict == "B":
@@ -152,7 +152,7 @@ def check_path_parity(k: int, p: int) -> TheoremReport:
         rec.measure("zero_vertex", z)
         rec.require("tied vertex is the chain center", z == center_label(k, p),
                     z, center_label(k, p))
-        data = report.by_vertex[z]
+        data = by_vertex[z]
         best = max(data.values)
         tie_gap = max(abs(best - data.values[i]) / best for i in data.maximizers)
         rec.measure("tie_gap_rel", tie_gap)
@@ -165,7 +165,7 @@ def check_starlike_equal_arms(r: int, k: int, p: int) -> TheoremReport:
     r - 1, and make the hub the graph's unique center vertex."""
     rec = _Recorder("equal-arms", {"r": r, "k": k, "p": p})
     g = block_starlike(r, k, [p] * r)
-    classification, report = classify_perron(g)
+    classification, by_vertex = classify_perron(g)
     rec.measure("verdict", classification.verdict)
     rec.require("verdict is B", classification.verdict == "B", classification.verdict)
     if classification.verdict == "B":
@@ -174,7 +174,7 @@ def check_starlike_equal_arms(r: int, k: int, p: int) -> TheoremReport:
         m = len(classification.perron_components)
         rec.measure("perron_component_count", m)
         rec.require("all arms tie", m == r, m, r)
-        rec.measure("lambda2_from_perron", 1.0 / max(report.by_vertex[z].values))
+        rec.measure("lambda2_from_perron", 1.0 / max(by_vertex[z].values))
     summary = spectral_summary(g)
     rec.measure("lambda2", summary.lambda2)
     rec.measure("multiplicity", summary.multiplicity)
@@ -196,14 +196,14 @@ def check_starlike_case_a(r: int, k: int, arms, instance: dict | None = None) ->
     arms = list(arms)
     rec = _Recorder("starlike-A", instance or {"r": r, "k": k, "arms": ",".join(map(str, arms))})
     g = block_starlike(r, k, arms)
-    classification, report = classify_perron(g)
+    classification, by_vertex = classify_perron(g)
     rec.measure("verdict", classification.verdict)
     hypothesis = r >= 3 and arms[0] > arms[1] and arms[1] + arms[2] + 1 >= arms[0]
     rec.measure("hypothesis_satisfied", int(hypothesis))
     if not hypothesis:
         return rec.report(status="skip")
     rec.require("verdict is A", classification.verdict == "A", classification.verdict)
-    hub = report.by_vertex[1]
+    hub = by_vertex[1]
     rec.require("unique maximizer at hub", len(hub.maximizers) == 1, len(hub.maximizers))
     best_comp = hub.components[hub.maximizers[0]]
     # the longest arm is the first, whose vertices are labeled from 2 on
@@ -283,12 +283,12 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
     value at z, the eigenspace dimension is one less than the number of tied
     components, eigenvectors vanish on z and on the untied components, and at
     any other vertex the unique maximizer is the component holding z."""
-    classification, report = classify_perron(g)
+    classification, by_vertex = classify_perron(g)
     if classification.verdict != "B":
         raise ValueError("identities apply to case-B graphs; classification returned A")
     rec = _Recorder("kirkland", instance or {"n": g.n})
     z = classification.zero_vertex
-    data = report.by_vertex[z]
+    data = by_vertex[z]
     m = len(data.maximizers)
     rec.measure("zero_vertex", z)
     rec.measure("perron_component_count", m)
@@ -332,12 +332,12 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
     rec.measure("sampled_vertices", len(candidates))
     dec = g.decomposition
     for v in candidates:
-        if v not in report.by_vertex:
+        if v not in by_vertex:
             comps = dec.components_without(v)
             rec.require(f"component at non-cut vertex {v} holds z",
                         len(comps) == 1 and z in comps[0], v)
             continue
-        vdata = report.by_vertex[v]
+        vdata = by_vertex[v]
         rec.require(f"unique maximizer at vertex {v}",
                     len(vdata.maximizers) == 1, len(vdata.maximizers))
         best_comp = vdata.components[vdata.maximizers[0]]
@@ -400,13 +400,18 @@ def _require_theorem(theorem: str) -> None:
 
 def run_theorem(theorem: str, instance: dict) -> TheoremReport:
     """Run one checker on one instance, translating precondition mismatches
-    into skip reports and unexpected failures into error reports."""
+    into skip reports and unexpected failures into error reports.  A
+    parameter the checker needs but the instance lacks raises ValueError."""
     _require_theorem(theorem)
     start = time.perf_counter()
     try:
         return THEOREM_RUNNERS[theorem](instance)
     except KeyError as exc:
-        status, failure = "error", f"missing parameter {exc}"
+        # raised from the handler, so the ValueError clause below, which
+        # sees only the try body, cannot turn it into a skip
+        if exc.args and exc.args[0] not in instance:
+            raise ValueError(f"theorem {theorem!r} needs parameter {exc}") from None
+        status, failure = "error", f"KeyError: {exc}"
     except ValueError as exc:
         status, failure = "skip", str(exc)
     except Exception as exc:  # convergence or classification pathology

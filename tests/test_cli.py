@@ -1,8 +1,10 @@
+import ast
 import csv
 import gc
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -429,6 +431,16 @@ class TestVerify:
         assert code == 1
         assert "instance parameters" in err
 
+    @pytest.mark.parametrize("argv,missing", [
+        (["--theorem", "path-parity", "-k", "3"], "'p'"),
+        (["--theorem", "starlike-A", "--sweep", "k=3,p1=2,p2=1"], "'p3'"),
+    ])
+    def test_one_missing_parameter_is_a_usage_error(self, capsys, argv, missing):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: theorem {argv[1]!r} needs parameter {missing}"]
+
     def test_csv_on_stdout(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "equal-arms",
                              "-r", "3", "-k", "3", "-p", "1", "--csv")
@@ -632,6 +644,17 @@ class TestTopLevel:
             "print(codes, 'numpy.random' in sys.modules)"
         )
         assert _fresh_python(probe) == "(0, 0) False"
+
+    def test_every_public_name_is_loaded_inside_the_package(self):
+        # a public helper that no module of the package reads is dead code
+        package = pathlib.Path(blockspectra.__file__).parent
+        loaded = {
+            node.id
+            for path in package.glob("*.py") if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        assert sorted(set(blockspectra.__all__) - loaded) == []
 
 
 def _fresh_python(code):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspectra import (
@@ -178,6 +178,7 @@ class TestEigSymSelect:
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(small_clique_trees, weighted_clique_trees))
+    @example(block_path(4, 3))  # larger than either strategy draws
     def test_fiedler_cluster_matches_full_decomposition(self, g):
         lap = laplacian(g)
         values = eig_sym(lap).values
@@ -399,8 +400,8 @@ class TestPerronPairs:
                     {(1, 2): 0.5, (4, 5): 3.0, (6, 7): 1e-3}),
     ])
     def test_one_vertex_matches_the_whole_graph(self, g):
-        _, report = classify_perron(g)
-        for v, whole in report.by_vertex.items():
+        _, by_vertex = classify_perron(g)
+        for v, whole in by_vertex.items():
             alone = vertex_perron_data(g, v)
             assert alone.components == whole.components
             assert alone.maximizers == whole.maximizers

@@ -23,6 +23,7 @@ from blockspectra import (
     run_theorem,
     sweep,
 )
+from blockspectra import verify
 
 
 class TestTwinsChecker:
@@ -228,9 +229,17 @@ class TestSweep:
         assert report.elapsed_s < 1.0
 
     def test_run_theorem_missing_parameter(self):
-        report = run_theorem("path-parity", {"k": 4})
+        with pytest.raises(ValueError, match="^theorem 'path-parity' needs parameter 'p'$"):
+            run_theorem("path-parity", {"k": 4})
+
+    def test_run_theorem_other_key_error_is_reported(self, monkeypatch):
+        def broken(k, p):
+            raise KeyError("k")  # a key the instance has
+
+        monkeypatch.setattr(verify, "check_path_parity", broken)
+        report = run_theorem("path-parity", {"k": 4, "p": 1})
         assert report.status == "error"
-        assert "missing parameter" in report.failures[0]
+        assert report.failures == ("KeyError: 'k'",)
 
 
 class TestGridParsing:
@@ -284,7 +293,9 @@ class TestReportSerialization:
         assert len(rows) == 4
         assert rows[1][1] == "k=2,p=1"
 
-    def test_failures_column_carries_tolerance(self):
-        report = run_theorem("path-parity", {"k": 4})  # missing p
-        text = reports_to_csv([report])
-        assert "missing parameter" in text
+    def test_failures_column_carries_tolerance(self, monkeypatch):
+        # no gap lies below a negative tolerance, so every twin check fails
+        monkeypatch.setattr(verify, "TWIN_REL_TOL", -1.0)
+        report = check_twins_lemma(block_path(4, 1))
+        assert report.status == "fail"
+        assert "(tolerance -1.0)" in reports_to_csv([report])
