@@ -8,12 +8,12 @@ implemented here.
 Everything targets small dense matrices (desk scale: graph.build_graph
 accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
-The two classifiers draw on disjoint parts of this module: the structural
-route on `laplacian` and `eig_sym`, the Perron route on the Cholesky pair
-(which solves the grounded Laplacian of each distinct block for its
-resistances) and on `perron_pairs`: one batched power iteration per
-request, over every component at once, reading the resistances directly;
-no bottleneck matrix is formed.
+Both classifiers read `laplacian`; past it they draw on disjoint parts of
+this module.  Only the structural route calls `eig_sym`.  The Perron route
+uses the Cholesky pair (which solves the grounded Laplacian of each distinct
+block, cut from `laplacian`, for its resistances) and `perron_pairs`: one
+batched power iteration per request, over every component at once, reading
+the resistances directly; no bottleneck matrix is formed.
 
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
@@ -52,9 +52,7 @@ class EigenDecomposition(NamedTuple):
 
 class PerronData(NamedTuple):
     value: float         # dominant eigenvalue
-    vector: np.ndarray   # strictly positive, entries summing to 1
     iterations: int      # matrix-vector products taken
-    residual: float      # ||b x - value x|| / value for the last unit iterate x
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -286,7 +284,7 @@ def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronData]:
-    """Perron pairs of bottleneck matrices, from one batched power iteration
+    """Perron values of bottleneck matrices, from one batched power iteration
     over all of them; no bottleneck matrix is formed.
 
     `res` is the exactly symmetric n x n effective-resistance array of a
@@ -308,12 +306,14 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     components.  A row that stops leaves the block, so later steps cost
     less.  Raises ConvergenceError after POWER_MAX_ITER steps, naming the
     first item still running, or at the first step where some row's Rayleigh
-    quotient is not finite (`res` overflowed), naming that item; and if a
-    Perron vector is not strictly positive (`res` is then no resistance
-    array, some entry of B being negative, or rounding zeroed an entry).
+    quotient is not finite (`res` overflowed), naming that item.  After the
+    loop it raises for the first item whose Perron vector, B x at the step
+    its row stopped, is not strictly positive, some entry on C lacking the
+    sign of the row's sum (`res` is then no resistance array, some entry of
+    B being negative, or rounding zeroed an entry).
 
-    Returns one PerronData per item, in order; each vector lists C in
-    increasing index order and sums to 1.
+    Returns one PerronData per item, in item order: its Perron value and the
+    steps its row took.  No vector is kept.
     """
     tol, cap = POWER_RQ_TOL, POWER_MAX_ITER  # read at call time: tests patch them
     support = np.asarray(support, dtype=bool)
@@ -326,9 +326,8 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     x = support / np.sqrt(sizes)[:, None]
     live = np.arange(items)  # the item of each row of x
     value = np.full(items, math.inf)
-    values, residuals = np.empty(items), np.empty(items)
-    iterations = np.empty(items, dtype=int)
-    vectors = np.empty((items, n))
+    values, iterations = np.empty(items), np.empty(items, dtype=int)
+    positive = np.empty(items, dtype=bool)
     step = 0
     while live.size:
         if step == cap:
@@ -356,13 +355,11 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
             )
         done = np.abs(rq - value) < tol * rq
         if done.any():
-            out = live[done]
-            gap = y[done] - rq[done, None] * x[done]
-            gap[np.arange(out.size), at[done]] = 0.0  # x - B x is 0 at v
+            out, bx = live[done], y[done]
             values[out] = rq[done]
-            residuals[out] = np.sqrt(_row_dots(gap, gap)) / rq[done]
             iterations[out] = step
-            vectors[out] = y[done]
+            bx /= bx.sum(axis=1)[:, None]  # a negative sum flips the sign
+            positive[out] = ((bx > 0) | ~support[out]).all(axis=1)
             keep = np.flatnonzero(~done)
             live, at, fold = live[keep], at[keep], fold[keep]
             y, rq = y[keep], rq[keep]
@@ -370,22 +367,15 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
         value = rq
         y /= np.sqrt(_row_dots(y, y))[:, None]
         x = y
-    vectors /= vectors.sum(axis=1)[:, None]  # a negative sum flips the sign
-    bad = ~(vectors > 0) & support
-    if bad.any():
-        j = int(bad.any(axis=1).argmax())
+    if not positive.all():
+        j = int(positive.argmin())
         raise ConvergenceError(
             f"dominant eigenvector of the component of {sizes[j]} vertices at cut "
             f"vertex {ground[j] + 1} is not strictly positive; the input is not a "
             "resistance array, or rounding zeroed an entry"
         )
-    flat, ends = vectors[support], np.cumsum(sizes).tolist()
-    return [
-        PerronData(value=val, vector=flat[start:end], iterations=it, residual=resid)
-        for val, start, end, it, resid in zip(
-            values.tolist(), [0] + ends, ends, iterations.tolist(), residuals.tolist()
-        )
-    ]
+    return [PerronData(value=val, iterations=it)
+            for val, it in zip(values.tolist(), iterations.tolist())]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

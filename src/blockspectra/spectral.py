@@ -18,19 +18,19 @@ vertex.  It returns the verdict with a dict from each cut vertex to its
 `VertexPerronData`: the components, their Perron values, the maximizers and
 the tie margin.
 
-The Perron route reads only edge weights and the block-cut tree, which
-`Graph.decomposition` builds and roots once per graph.  The components of g
-minus a vertex come from that tree (`BlockDecomposition.components_without`),
+The Perron route reads only the Laplacian's entries and the block-cut tree,
+which `Graph.decomposition` builds and roots once per graph.  The components
+of g minus a vertex come from that tree (`BlockDecomposition.components_without`),
 for both routes.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
 vertices, so R comes from one pass over the rooted tree, solving only the
 grounded Laplacian of each distinct block, once.  Then one batched power
-iteration per request (`linalg.perron_pairs`) finds the Perron pair of every
+iteration per request (`linalg.perron_pairs`) finds the Perron value of every
 (cut vertex, component) item from R directly; no bottleneck matrix is
-formed.  The structural route alone assembles the Laplacian and calls the
-eigensolver, so the two classifiers share no numerical machinery, which is
-the point: each one cross-checks the other.
+formed.  Both routes read `laplacian(g)`, but the structural route alone
+calls the eigensolver, so the two classifiers share no numerical machinery,
+which is the point: each one cross-checks the other.
 """
 
 import itertools
@@ -65,7 +65,6 @@ class SpectralSummary:
 class VertexPerronData:
     """Perron values of the components left by deleting one cut vertex."""
 
-    vertex: int
     components: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
     maximizers: tuple[int, ...]      # indices into components
@@ -150,8 +149,8 @@ def _vertex_perron(res, dec, vertices, tie_rel_tol):
         rest = [val for i, val in enumerate(values) if i not in maximizers]
         margin = (best - max(rest)) / best if rest else None
         out[v] = VertexPerronData(
-            vertex=v, components=components, values=values,
-            maximizers=maximizers, tie_margin=margin,
+            components=components, values=values, maximizers=maximizers,
+            tie_margin=margin,
         )
     return out
 
@@ -166,55 +165,43 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     before it than a is.  Vertex 1 is placed first, then each block in the
     rooted order, which places a before the block hanging from it.
 
-    Each distinct block is solved once: blocks with equal local Laplacians
-    (every block of a clique chain) share one factorization.  The memo lives
-    for this call only.
+    A block's local Laplacian, in block order, is cut from `laplacian(g)`:
+    every edge joining two of its vertices lies in the block, so the cut's
+    off-diagonal entries are the block's own, and its diagonal is summed
+    again from them.  Its inverse grounded at the block's first vertex gives
+    the block's resistances.  Each distinct block is solved once: a memo for
+    this call, keyed on the bytes of the cut's off-diagonal part (size, edges
+    and weights, which fix the diagonal), lets equal blocks (every block of a
+    clique chain) share one factorization, and a hit returns exactly what a
+    fresh solve would.
     """
+    off = laplacian(g)
+    np.fill_diagonal(off, 0.0)
     res = np.zeros((g.n, g.n))
     placed = np.zeros(1, dtype=int)  # vertex 1
-    weight = dict(zip(g.edges, g.weights))
     solved: dict[bytes, np.ndarray] = {}
     for i, a in dec.rooted:
         block = dec.blocks[i]
-        local = _block_resistances(weight, block, solved)
+        at = np.array(block) - 1
+        local = off[at[:, None], at]
+        key = local.tobytes()
+        if key not in solved:
+            s = len(block)
+            np.fill_diagonal(local, -local.sum(axis=1))
+            green = np.zeros((s, s))
+            green[1:, 1:] = cholesky_solve(cholesky_factor(local[1:, 1:]), np.eye(s - 1))
+            d = green.diagonal()
+            # G + G^T is exactly symmetric where the solved G need not be
+            solved[key] = (d[:, None] + d) - (green + green.T)
+        within = solved[key]
         fresh = np.array([t for t, u in enumerate(block) if u != a])
-        idx = np.array(block)[fresh] - 1
-        cross = local[fresh, block.index(a)][:, None] + res[a - 1, placed]
+        idx = at[fresh]
+        cross = within[fresh, block.index(a)][:, None] + res[a - 1, placed]
         res[idx[:, None], placed] = cross
         res[placed[:, None], idx] = cross.T
-        res[idx[:, None], idx] = local[fresh[:, None], fresh]
+        res[idx[:, None], idx] = within[fresh[:, None], fresh]
         placed = np.concatenate([placed, idx])
     return res
-
-
-def _block_resistances(
-    weight: dict[tuple[int, int], float],
-    block: tuple[int, ...],
-    solved: dict[bytes, np.ndarray],
-) -> np.ndarray:
-    """Effective resistances among the vertices of one block, in block order,
-    from the inverse of its Laplacian grounded at the block's first vertex.
-
-    `weight` maps each edge (u, v), u < v, to its weight; the block is
-    sorted, so its vertex pairs come in that order.  `solved` maps the bytes
-    of each local Laplacian already solved to its result.  The bytes fix the
-    block's size, edges and weights, and equal inputs take the same
-    arithmetic, so a hit returns exactly what a fresh solve would.
-    """
-    s = len(block)
-    lap = np.zeros((s, s))
-    for (i, u), (j, w) in itertools.combinations(enumerate(block), 2):
-        if (wt := weight.get((u, w))) is not None:
-            lap[i, j] = lap[j, i] = -wt
-    np.fill_diagonal(lap, -lap.sum(axis=1))
-    key = lap.tobytes()
-    if key not in solved:
-        green = np.zeros((s, s))
-        green[1:, 1:] = cholesky_solve(cholesky_factor(lap[1:, 1:]), np.eye(s - 1))
-        d = green.diagonal()
-        # G + G^T is exactly symmetric where the solved G need not be
-        solved[key] = (d[:, None] + d) - (green + green.T)
-    return solved[key]
 
 
 def classify_perron(
@@ -288,9 +275,10 @@ def classify_structural(
 
     basis is n x m; a caller with one vector y passes y[:, None].  lambda2 is
     the graph's algebraic connectivity, as the caller's `spectral_summary`
-    found it.  Every column y is first verified to be a lambda2 eigenvector
-    (residual <= RESIDUAL_REL_TOL * |y| * the largest edge weight, so
-    scaling every weight changes no verdict).  Entries within
+    found it.  Every column y is first verified to be a lambda2 eigenvector:
+    nonzero, with residual <= RESIDUAL_REL_TOL * |y| * the largest edge
+    weight (so scaling every weight changes no verdict); a column that fails,
+    or a nan in y or lambda2, raises ValueError.  Entries within
     zero_tol * max|y| of zero count as zero; zero_tol must be finite and
     >= 0.  Raises ClassificationError when a sign pattern fits neither case,
     which signals a tolerance misconfiguration rather than a property of the
@@ -304,7 +292,8 @@ def classify_structural(
     residuals = np.linalg.norm(laplacian(g) @ basis - lambda2 * basis, axis=0)
     scale = max(g.weights)
     for j, (residual, norm) in enumerate(zip(residuals, np.linalg.norm(basis, axis=0))):
-        if residual > RESIDUAL_REL_TOL * max(float(norm), 1e-300) * scale:
+        # a zero column has residual 0, and nan compares false: both fail here
+        if not (norm > 0 and residual <= RESIDUAL_REL_TOL * max(float(norm), 1e-300) * scale):
             raise ValueError(
                 f"column {j} is not a lambda2 eigenvector (residual {residual:.3e})"
             )

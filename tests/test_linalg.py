@@ -303,33 +303,13 @@ class TestPerronOfInverse:
         # both components of the path 1-2-3 minus 2 are pendant vertices: [[1.0]]
         for _, _, data in perron_items(path_graph(3), [2]):
             assert data.value == pytest.approx(1.0, abs=1e-12)
-            assert np.array_equal(data.vector, [1.0])
             assert data.iterations == 2
-            assert data.residual == 0.0
 
     def test_two_vertex_block(self):
         # the inverse of L[{1, 2}] for the path 1-2-3 is [[2, 1], [1, 1]]
         ((_, comp, data),) = perron_items(path_graph(3), [3])
         assert comp == (1, 2)
         assert data.value == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-10)
-        assert (data.vector > 0).all()
-        assert data.vector.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_residual_bounds_the_error(self):
-        # for symmetric b and a unit vector x, some eigenvalue lies within
-        # ||b x - theta x|| of theta (Parlett)
-        ((_, _, data),) = perron_items(path_graph(3), [3])
-        exact = (3 + math.sqrt(5)) / 2
-        assert data.iterations >= 2
-        assert 0.0 < data.residual < 1e-6
-        assert abs(data.value - exact) <= data.residual * data.value
-
-    def test_eigen_equation_residual(self):
-        g = block_path(4, 2)
-        _, comp, data = perron_items(g, [4])[0]
-        m = submatrix(laplacian(g), comp)
-        # M^{-1} v = rho v  <=>  M v = v / rho
-        assert np.linalg.norm(m @ data.vector - data.vector / data.value) <= 1e-10
 
     def test_chain_center_components_tie_at_reciprocal_lambda2(self):
         rhos = vertex_perron_data(block_path(4, 3), 7).values
@@ -344,7 +324,6 @@ class TestPerronOfInverse:
         for _, comp, data in perron_items(g, [v]):
             smallest = eig_sym(submatrix(lap, comp)).values[0]
             assert abs(data.value - 1.0 / smallest) <= 1e-10
-            assert (data.vector > 0).all()
 
     def test_iteration_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 1)
@@ -368,15 +347,8 @@ class TestPerronPairs:
         lap = laplacian(g)
         for _, comp, data in perron_items(g, g.vertices()):
             m = submatrix(lap, comp)
-            lam, vecs = np.linalg.eigh(m)
+            lam = np.linalg.eigvalsh(m)
             assert abs(data.value - 1.0 / lam[0]) <= 1e-9 * data.value
-            assert (data.vector > 0).all()
-            assert data.vector.sum() == pytest.approx(1.0, abs=1e-12)
-            # in sorted-label order, the vector of L[C] as numpy finds it; the
-            # Rayleigh stop leaves the vector 1e-3 off at worst (1 500 draws),
-            # where a vector in another order is off by the order of its size
-            expected = vecs[:, 0] / vecs[:, 0].sum()
-            assert np.abs(data.vector - expected).max() <= 1e-2 * expected.max()
 
     def test_small_component_keeps_its_own_value(self):
         # vertex 1 of a 3-clique chain carries a 3-vertex path of weight 3
@@ -415,6 +387,15 @@ class TestPerronPairs:
         res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
         with pytest.raises(ConvergenceError, match="not strictly positive"):
             perron_pairs(res, [0], np.array([[False, True, True]]))
+
+    def test_first_item_that_is_not_positive_is_named(self):
+        # item 0, {0} grounded at 1, is [[R_01]] = [[1]]: positive; item 1 is
+        # the matrix above, and the error names it, not the first item
+        res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
+        support = np.array([[True, False, False], [False, True, True]])
+        with pytest.raises(ConvergenceError, match="component of 2 vertices at cut vertex 1 "
+                           "is not strictly positive"):
+            perron_pairs(res, [1, 0], support)
 
     def test_non_finite_value_fails_at_once(self):
         # 2 R_34 overflows in the second item's B x, while the first item

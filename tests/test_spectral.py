@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from blockspectra import (
     vertex_perron_data,
 )
 from blockspectra import spectral
+from blockspectra.linalg import cholesky_factor, cholesky_solve
 from blockspectra.cli import main
 from _util import bottlenecks, clique_tree, delete_vertex_components
 
@@ -169,6 +171,20 @@ class TestClassifyStructural:
         with pytest.raises(ValueError, match="column 1 is not a lambda2 eigenvector"):
             classify_structural(path_graph(3), basis, 1.0)
 
+    @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad_lambda2", [False, True])
+    def test_degenerate_column_rejected(self, fill, bad_lambda2):
+        # a zero column has residual 0 and an inf or nan one a nan residual;
+        # neither may pass as an eigenvector and end in ClassificationError
+        g = block_path(4, 3)
+        s = spectral_summary(g)
+        basis = np.column_stack([s.fiedler_basis[:, 0], np.full(g.n, fill)])
+        column = 0 if bad_lambda2 else 1  # a nan lambda2 fails every column
+        lambda2 = math.nan if bad_lambda2 else s.lambda2
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=f"column {column} is not a lambda2 eigenvector"):
+                classify_structural(g, basis, lambda2)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             classify_structural(path_graph(3), np.ones((4, 1)), 1.0)
@@ -310,6 +326,21 @@ class TestLargePerronValues:
         _assert_routes_agree_on(light, ("B", 7))
 
 
+def test_perron_route_memory_at_the_cap():
+    # the 400-vertex path has 796 (cut vertex, component) rows of 400 entries
+    # each; a Perron vector kept per row would add an items x n array and its
+    # copies, past the bound.  The cached decomposition is built untraced.
+    g = path_graph(400)
+    g.decomposition
+    tracemalloc.start()
+    try:
+        classify_perron(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6
+
+
 def test_routes_agree_where_two_paths_tie_beside_a_triangle():
     # at 3 the paths (1, 2) and (6, 7) tie above the triangle's (4, 5) and
     # the leaf 8; its Perron vectors are accurate only to about 1e-8
@@ -415,11 +446,21 @@ class TestDistinctBlockSolves:
         d = pinv.diagonal()
         oracle = d[:, None] + d[None, :] - 2 * pinv
         assert np.abs(res - oracle).max() <= 1e-12 * np.abs(oracle).max()
-        weight = dict(zip(g.edges, g.weights))
         for block in dec.blocks:
-            # within a block, R is exactly the block's own fresh solve
+            # within a block, R is exactly a fresh solve of the block's own
+            # Laplacian, grounded at its first vertex
+            s = len(block)
+            local = np.zeros((s, s))
+            for (u, v), w in zip(g.edges, g.weights):
+                if u in block and v in block:
+                    i, j = block.index(u), block.index(v)
+                    local[i, j] = local[j, i] = -w
+            np.fill_diagonal(local, -local.sum(axis=1))
+            green = np.zeros((s, s))
+            green[1:, 1:] = cholesky_solve(cholesky_factor(local[1:, 1:]), np.eye(s - 1))
+            d = green.diagonal()
+            fresh = (d[:, None] + d) - (green + green.T)
             idx = np.array(block) - 1
-            fresh = spectral._block_resistances(weight, block, {})
             assert np.array_equal(res[np.ix_(idx, idx)], fresh)
 
     @pytest.fixture
