@@ -53,7 +53,6 @@ from .spectral import (
     classify_perron,
     classify_structural,
     spectral_summary,
-    vertex_perron_data,
 )
 from .verify import (
     TheoremReport,
@@ -119,5 +118,4 @@ __all__ = [
     "starlike_profile",
     "sweep",
     "true_twin_partition",
-    "vertex_perron_data",
 ]

@@ -161,7 +161,6 @@ class StarlikeProfile:
     """Hub vertex plus the clique-chain length of each arm."""
 
     hub: int
-    clique_size: int
     arms: tuple[int, ...]  # sorted non-increasing
 
 
@@ -177,7 +176,6 @@ def starlike_profile(g: Graph) -> StarlikeProfile | None:
     sizes = {len(b) for b in dec.blocks}
     if not dec.all_cliques or len(sizes) != 1 or min(sizes) < 2:
         return None
-    (k,) = sizes
     hubs = [a for a in dec.articulation_points if len(dec.blocks_containing(a)) >= 3]
     if len(hubs) != 1:
         return None
@@ -197,4 +195,4 @@ def starlike_profile(g: Graph) -> StarlikeProfile | None:
             (block,) = (b for b in dec.blocks_containing(entry) if b != block)
             length += 1
         arms.append(length)
-    return StarlikeProfile(hub=hub, clique_size=k, arms=tuple(sorted(arms, reverse=True)))
+    return StarlikeProfile(hub=hub, arms=tuple(sorted(arms, reverse=True)))

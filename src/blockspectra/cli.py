@@ -185,9 +185,7 @@ def classify(args) -> None:
         }
 
     if method in ("structural", "both"):
-        summary = spectral_summary(g)
-        results = classify_structural(g, summary.fiedler_basis, summary.lambda2,
-                                      zero_tol=zero_tol)
+        results = classify_structural(g, zero_tol=zero_tol)
         tolerances["zero_tol"] = zero_tol
         structural_verdicts = [(result.verdict, result.zero_vertex) for result in results]
         payload["structural"] = {"per_vector": [

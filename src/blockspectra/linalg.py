@@ -58,9 +58,10 @@ class PerronData(NamedTuple):
 def laplacian(g: Graph) -> np.ndarray:
     """Weighted graph Laplacian: degree sums on the diagonal, -w(u,v) off it."""
     lap = np.zeros((g.n, g.n))
-    for (u, v), w in zip(g.edges, g.weights):
-        lap[u - 1, v - 1] = -w
-        lap[v - 1, u - 1] = -w
+    # edges are unique pairs, so no entry is written twice; the reshape keeps
+    # an edgeless graph's index array two-column
+    u, v = (np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1).T
+    lap[u, v] = lap[v, u] = -np.array(g.weights, dtype=float)
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 

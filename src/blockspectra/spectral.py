@@ -10,8 +10,8 @@ with respect to any Fiedler vector:
   separates all sign changes.
 
 `classify_structural` tests those sign conditions directly on each column of
-a given Fiedler basis.  `classify_perron` decides the same dichotomy through
-an independent route: for each cut vertex it compares the dominant
+the Fiedler basis it computes.  `classify_perron` decides the same dichotomy
+through an independent route: for each cut vertex it compares the dominant
 eigenvalues of the inverses of the component submatrices (their "Perron
 values"); two or more tied maximizers at some vertex means case B at that
 vertex.  It returns the verdict with a dict from each cut vertex to its
@@ -45,7 +45,6 @@ from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_
 ZERO_REL_TOL = 1e-7
 TIE_REL_TOL = 1e-9
 MULTIPLICITY_REL_TOL = 1e-8
-RESIDUAL_REL_TOL = 1e-8
 
 
 class ClassificationError(RuntimeError):
@@ -116,45 +115,6 @@ def _fiedler_cluster(spectrum: np.ndarray) -> list[int]:
     return [i for i in range(1, len(spectrum)) if abs(float(spectrum[i]) - lam2) <= tol]
 
 
-def vertex_perron_data(g: Graph, v: int) -> VertexPerronData:
-    """Perron values of all components of g minus v; raises ValueError
-    unless v is a cut vertex of g."""
-    dec = g.decomposition
-    if v not in dec.articulation_points:
-        raise ValueError(f"vertex {v} is not a cut vertex of the graph")
-    return _vertex_perron(_resistances(g, dec), dec, [v], TIE_REL_TOL)[v]
-
-
-def _vertex_perron(res, dec, vertices, tie_rel_tol):
-    """{v: `vertex_perron_data` at v} for the cut vertices `vertices`, from
-    the graph's resistances `res`: one `perron_pairs` call serves every
-    component of every vertex."""
-    comps = [dec.components_without(v) for v in vertices]
-    flat = [c for cs in comps for c in cs]
-    sizes = [len(c) for c in flat]
-    support = np.zeros((len(flat), len(res)), dtype=bool)
-    support[
-        np.repeat(np.arange(len(flat)), sizes),
-        np.fromiter(itertools.chain.from_iterable(flat), np.intp, sum(sizes)) - 1,
-    ] = True
-    ground = np.repeat(np.array(vertices) - 1, [len(cs) for cs in comps])
-    pairs = iter(perron_pairs(res, ground, support))
-    out = {}
-    for v, components in zip(vertices, comps):
-        values = tuple(next(pairs).value for _ in components)
-        best = max(values)
-        maximizers = tuple(
-            i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
-        )
-        rest = [val for i, val in enumerate(values) if i not in maximizers]
-        margin = (best - max(rest)) / best if rest else None
-        out[v] = VertexPerronData(
-            components=components, values=values, maximizers=maximizers,
-            tie_margin=margin,
-        )
-    return out
-
-
 def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     """Effective resistance between every pair of vertices, as an exactly
     symmetric n x n array.
@@ -220,7 +180,30 @@ def classify_perron(
     """
     _check_tolerance("tie_rel_tol", tie_rel_tol)
     dec = _cut_vertex_blocks(g)
-    by_vertex = _vertex_perron(_resistances(g, dec), dec, dec.articulation_points, tie_rel_tol)
+    vertices = dec.articulation_points
+    comps = [dec.components_without(v) for v in vertices]
+    flat = [c for cs in comps for c in cs]
+    sizes = [len(c) for c in flat]
+    support = np.zeros((len(flat), g.n), dtype=bool)
+    support[
+        np.repeat(np.arange(len(flat)), sizes),
+        np.fromiter(itertools.chain.from_iterable(flat), np.intp, sum(sizes)) - 1,
+    ] = True
+    ground = np.repeat(np.array(vertices) - 1, [len(cs) for cs in comps])
+    pairs = iter(perron_pairs(_resistances(g, dec), ground, support))
+    by_vertex = {}
+    for v, components in zip(vertices, comps):
+        values = tuple(next(pairs).value for _ in components)
+        best = max(values)
+        maximizers = tuple(
+            i for i, val in enumerate(values) if best - val <= tie_rel_tol * best
+        )
+        rest = [val for i, val in enumerate(values) if i not in maximizers]
+        margin = (best - max(rest)) / best if rest else None
+        by_vertex[v] = VertexPerronData(
+            components=components, values=values, maximizers=maximizers,
+            tie_margin=margin,
+        )
     tied = [v for v, data in by_vertex.items() if len(data.maximizers) >= 2]
     if len(tied) > 1:
         raise ClassificationError(
@@ -265,39 +248,20 @@ def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
 
 def classify_structural(
     g: Graph,
-    basis: np.ndarray,
-    lambda2: float,
     *,
     zero_tol: float = ZERO_REL_TOL,
 ) -> list[CaseClassification]:
-    """Case A/B decision from the sign pattern of each column of a Fiedler
-    basis, one classification per column.
+    """Case A/B decision from the sign pattern of each column of the Fiedler
+    basis that `spectral_summary(g)` computes, one classification per column.
 
-    basis is n x m; a caller with one vector y passes y[:, None].  lambda2 is
-    the graph's algebraic connectivity, as the caller's `spectral_summary`
-    found it.  Every column y is first verified to be a lambda2 eigenvector:
-    nonzero, with residual <= RESIDUAL_REL_TOL * |y| * the largest edge
-    weight (so scaling every weight changes no verdict); a column that fails,
-    or a nan in y or lambda2, raises ValueError.  Entries within
-    zero_tol * max|y| of zero count as zero; zero_tol must be finite and
-    >= 0.  Raises ClassificationError when a sign pattern fits neither case,
-    which signals a tolerance misconfiguration rather than a property of the
-    graph.
+    Entries within zero_tol * max|y| of zero count as zero; zero_tol must be
+    finite and >= 0.  Raises ClassificationError when a sign pattern fits
+    neither case, which signals a tolerance misconfiguration rather than a
+    property of the graph.
     """
     _check_tolerance("zero_tol", zero_tol)
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != g.n:
-        raise ValueError(f"basis has shape {basis.shape}, expected ({g.n}, m)")
     dec = _cut_vertex_blocks(g)
-    residuals = np.linalg.norm(laplacian(g) @ basis - lambda2 * basis, axis=0)
-    scale = max(g.weights)
-    for j, (residual, norm) in enumerate(zip(residuals, np.linalg.norm(basis, axis=0))):
-        # a zero column has residual 0, and nan compares false: both fail here
-        if not (norm > 0 and residual <= RESIDUAL_REL_TOL * max(float(norm), 1e-300) * scale):
-            raise ValueError(
-                f"column {j} is not a lambda2 eigenvector (residual {residual:.3e})"
-            )
-    return [_classify_vector(g, dec, y, zero_tol) for y in basis.T]
+    return [_classify_vector(g, dec, y, zero_tol) for y in spectral_summary(g).fiedler_basis.T]
 
 
 def _classify_vector(g, dec, y, zero_tol):

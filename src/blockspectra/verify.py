@@ -34,17 +34,12 @@ from .graph import (
     true_twin_partition,
 )
 from .linalg import laplacian
-from .spectral import (
-    RESIDUAL_REL_TOL,
-    classify_perron,
-    spectral_summary,
-    vertex_perron_data,
-)
+from .spectral import classify_perron, spectral_summary
 
 TWIN_REL_TOL = 1e-8
 IDENTITY_ABS_TOL = 1e-8
 ZERO_ENTRY_REL_TOL = 1e-8
-KIRKLAND_SAMPLE_LIMIT = 10
+RESIDUAL_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +243,7 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
         )
     rec.measure("max_extension_residual_rel", worst_residual)
 
-    hub_data = vertex_perron_data(merged, u)
+    hub_data = classify_perron(merged)[1][u]
     new_block_comp_idx = next(
         i for i, comp in enumerate(hub_data.components) if comp == new_vertices
     )
@@ -282,7 +277,7 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
     """For a case-B graph: lambda2 is the reciprocal of every tied Perron
     value at z, the eigenspace dimension is one less than the number of tied
     components, eigenvectors vanish on z and on the untied components, and at
-    any other vertex the unique maximizer is the component holding z."""
+    every other cut vertex the unique maximizer is the component holding z."""
     classification, by_vertex = classify_perron(g)
     if classification.verdict != "B":
         raise ValueError("identities apply to case-B graphs; classification returned A")
@@ -325,18 +320,9 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
             )
     rec.measure("max_zero_entry_rel", worst_entry)
 
-    candidates = [v for v in g.vertices() if v != z]
-    if len(candidates) > KIRKLAND_SAMPLE_LIMIT:
-        picks = np.linspace(0, len(candidates) - 1, KIRKLAND_SAMPLE_LIMIT)
-        candidates = sorted({candidates[int(round(i))] for i in picks})
-    rec.measure("sampled_vertices", len(candidates))
-    dec = g.decomposition
-    for v in candidates:
-        if v not in by_vertex:
-            comps = dec.components_without(v)
-            rec.require(f"component at non-cut vertex {v} holds z",
-                        len(comps) == 1 and z in comps[0], v)
-            continue
+    others = [v for v in by_vertex if v != z]
+    rec.measure("sampled_vertices", len(others))
+    for v in others:
         vdata = by_vertex[v]
         rec.require(f"unique maximizer at vertex {v}",
                     len(vdata.maximizers) == 1, len(vdata.maximizers))

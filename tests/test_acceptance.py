@@ -30,7 +30,6 @@ from blockspectra import (
     star_graph,
     broom_tree,
     build_graph,
-    vertex_perron_data,
 )
 from _util import clique_tree, delete_vertex_components, prufer_tree
 
@@ -185,8 +184,7 @@ def test_c08_dual_classifier_agreement():
     disagreements = 0
     for label, k, params, g in graphs:
         perron_result, _ = classify_perron(g)
-        summary = spectral_summary(g)
-        structurals = classify_structural(g, summary.fiedler_basis, summary.lambda2)
+        structurals = classify_structural(g)
         for j, structural in enumerate(structurals):
             if (structural.verdict, structural.zero_vertex) != (
                 perron_result.verdict, perron_result.zero_vertex
@@ -228,13 +226,14 @@ def test_c09_power_iteration_matches_eigensolver():
     failures = []
     for g in _micro_scale_block_graphs():
         lap = laplacian(g)
+        _, by_vertex = classify_perron(g)
         had_cut = False
         for v in g.vertices():
             comps = delete_vertex_components(g, v)
             if len(comps) < 2:
                 continue
             had_cut = True
-            data = vertex_perron_data(g, v)
+            data = by_vertex[v]
             if data.components != tuple(comps):
                 failures.append(f"n={g.n} v={v}: components {data.components} != {comps}")
                 continue

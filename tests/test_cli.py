@@ -389,8 +389,7 @@ class TestClassify:
 
         monkeypatch.setattr(
             cli_mod, "classify_structural",
-            lambda g, basis, lambda2, zero_tol:
-                [CaseClassification(verdict="A", mixed_block=(1, 2))] * basis.shape[1],
+            lambda g, zero_tol: [CaseClassification(verdict="A", mixed_block=(1, 2))],
         )
         code, out, err = run(capsys, "classify", chain_file, "--method", "both")
         assert code == 2

@@ -252,13 +252,13 @@ SHAPES = {
     "two arms (r = 2)": (block_starlike(2, 3, [1, 1]), None),
     "path": (path_graph(5), None),
     "equal arms": (
-        block_starlike(3, 4, [1, 1, 1]), StarlikeProfile(1, 4, (1, 1, 1))),
+        block_starlike(3, 4, [1, 1, 1]), StarlikeProfile(1, (1, 1, 1))),
     "unequal arms": (
-        block_starlike(3, 4, [3, 2, 1]), StarlikeProfile(1, 4, (3, 2, 1))),
+        block_starlike(3, 4, [3, 2, 1]), StarlikeProfile(1, (3, 2, 1))),
     "zero-length arms": (
-        block_starlike(4, 3, [2, 0, 0, 0]), StarlikeProfile(1, 3, (2, 0, 0, 0))),
-    "star": (star_graph(4), StarlikeProfile(1, 2, (0, 0, 0, 0))),
-    "broom": (broom_tree(4, 3), StarlikeProfile(4, 2, (2, 0, 0, 0))),
+        block_starlike(4, 3, [2, 0, 0, 0]), StarlikeProfile(1, (2, 0, 0, 0))),
+    "star": (star_graph(4), StarlikeProfile(1, (0, 0, 0, 0))),
+    "broom": (broom_tree(4, 3), StarlikeProfile(4, (2, 0, 0, 0))),
 }
 
 

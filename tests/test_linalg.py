@@ -18,7 +18,6 @@ from blockspectra import (
     laplacian,
     path_graph,
     star_graph,
-    vertex_perron_data,
 )
 from blockspectra import linalg, spectral
 from blockspectra.linalg import cholesky_factor, cholesky_solve, perron_pairs
@@ -79,6 +78,23 @@ class TestLaplacian:
     def test_exactly_symmetric(self):
         lap = laplacian(block_path(5, 4))
         assert np.array_equal(lap, lap.T)
+
+    @pytest.mark.parametrize("g", [
+        build_graph(1, []), build_graph(3, []), complete_graph(2),
+        clique_tree([3, 4, 2, 5], [2, 0, 7]), block_starlike(3, 5, [2, 1, 1]),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_an_edge_by_edge_build(self, g, seed):
+        weights = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, g.m)
+        g = build_graph(g.n, g.edges, dict(zip(g.edges, weights)))
+        reference = np.zeros((g.n, g.n))
+        for (u, v), w in zip(g.edges, g.weights):
+            reference[u - 1, v - 1] = -w
+            reference[v - 1, u - 1] = -w
+        np.fill_diagonal(reference, -reference.sum(axis=1))
+        lap = laplacian(g)
+        assert lap.shape == reference.shape
+        assert lap.tobytes() == reference.tobytes()
 
 
 class TestEigSym:
@@ -312,7 +328,7 @@ class TestPerronOfInverse:
         assert data.value == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-10)
 
     def test_chain_center_components_tie_at_reciprocal_lambda2(self):
-        rhos = vertex_perron_data(block_path(4, 3), 7).values
+        rhos = classify_perron(block_path(4, 3))[1][7].values
         assert abs(rhos[0] - rhos[1]) <= 1e-9 * rhos[0]
         assert round(1.0 / rhos[0], 5) == 0.32938
 
@@ -358,27 +374,12 @@ class TestPerronPairs:
         chain = block_path(3, 20)
         g = coalesce(chain, 1, path_graph(4), 1)
         g = build_graph(g.n, g.edges, {e: 3.0 for e in g.edges if chain.n < e[1]})
-        data = vertex_perron_data(g, 1)
+        data = classify_perron(g)[1][1]
         assert data.components[1] == (g.n - 2, g.n - 1, g.n)
         assert data.values[0] >= 100 * data.values[1]
         # the path grounded at one end: L[C] = 3 tridiag(-1, 2, -1) with a
         # last diagonal entry of 1, smallest eigenvalue 12 sin^2(pi / 14)
         assert data.values[1] == pytest.approx(1 / (12 * math.sin(math.pi / 14) ** 2), rel=1e-14)
-
-    @pytest.mark.parametrize("g", [
-        block_starlike(4, 3, [3, 2, 2, 1]),
-        clique_tree([3, 2, 4, 2, 3], [4, 9, 1, 17]),
-        build_graph(7, [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6), (6, 7)],
-                    {(1, 2): 0.5, (4, 5): 3.0, (6, 7): 1e-3}),
-    ])
-    def test_one_vertex_matches_the_whole_graph(self, g):
-        _, by_vertex = classify_perron(g)
-        for v, whole in by_vertex.items():
-            alone = vertex_perron_data(g, v)
-            assert alone.components == whole.components
-            assert alone.maximizers == whole.maximizers
-            for a, b in zip(alone.values, whole.values):
-                assert abs(a - b) <= 1e-14 * b
 
     def test_negative_bottleneck_entry_rejected(self):
         # R_12 = 10 > R_10 + R_02 = 3 breaks the triangle inequality, so the

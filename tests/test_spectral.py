@@ -25,11 +25,11 @@ from blockspectra import (
     path_graph,
     spectral_summary,
     star_graph,
-    vertex_perron_data,
 )
 from blockspectra import spectral
 from blockspectra.linalg import cholesky_factor, cholesky_solve
 from blockspectra.cli import main
+from blockspectra.verify import RESIDUAL_REL_TOL
 from _util import bottlenecks, clique_tree, delete_vertex_components
 
 
@@ -123,31 +123,19 @@ class TestClassifyPerron:
             assert z in data.components[data.maximizers[0]]
 
 
-class TestVertexPerronData:
-    @pytest.mark.parametrize("v", [2, 99])
-    def test_non_cut_vertex_rejected(self, v):
-        with pytest.raises(ValueError, match=f"vertex {v} is not a cut vertex"):
-            vertex_perron_data(block_path(4, 3), v)
-
-
 class TestClassifyStructural:
     def test_short_path_by_symmetry(self):
-        y = np.array([1.0, 0.0, -1.0]) / math.sqrt(2)
-        (c,) = classify_structural(path_graph(3), y[:, None], 1.0)
+        (c,) = classify_structural(path_graph(3))
         assert c.verdict == "B"
         assert c.zero_vertex == 2
 
     def test_even_chain_mixed_middle_block(self):
-        g = block_path(4, 2)
-        s = spectral_summary(g)
-        (c,) = classify_structural(g, s.fiedler_basis, s.lambda2)
+        (c,) = classify_structural(block_path(4, 2))
         assert c.verdict == "A"
         assert c.mixed_block == (4, 5, 6, 7)
 
     def test_odd_chain_zero_at_center(self):
-        g = block_path(4, 3)
-        s = spectral_summary(g)
-        for c in classify_structural(g, s.fiedler_basis, s.lambda2):
+        for c in classify_structural(block_path(4, 3)):
             assert c.verdict == "B"
             assert c.zero_vertex == 7
 
@@ -163,64 +151,26 @@ class TestClassifyStructural:
         reference = np.linalg.eigh(laplacian(g))[1][:, 1:r]
         projector = s.fiedler_basis @ s.fiedler_basis.T
         assert np.abs(projector - reference @ reference.T).max() <= 1e-10
-        cs = classify_structural(g, s.fiedler_basis, s.lambda2)
+        cs = classify_structural(g)
         assert [(c.verdict, c.zero_vertex) for c in cs] == [("B", 1)] * (r - 1)
-
-    def test_non_eigenvector_rejected(self):
-        basis = np.column_stack([[1.0, 0.0, -1.0], np.ones(3)])  # lambda 1, then 0
-        with pytest.raises(ValueError, match="column 1 is not a lambda2 eigenvector"):
-            classify_structural(path_graph(3), basis, 1.0)
-
-    @pytest.mark.parametrize("fill", [0.0, math.nan, math.inf])
-    @pytest.mark.parametrize("bad_lambda2", [False, True])
-    def test_degenerate_column_rejected(self, fill, bad_lambda2):
-        # a zero column has residual 0 and an inf or nan one a nan residual;
-        # neither may pass as an eigenvector and end in ClassificationError
-        g = block_path(4, 3)
-        s = spectral_summary(g)
-        basis = np.column_stack([s.fiedler_basis[:, 0], np.full(g.n, fill)])
-        column = 0 if bad_lambda2 else 1  # a nan lambda2 fails every column
-        lambda2 = math.nan if bad_lambda2 else s.lambda2
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ValueError, match=f"column {column} is not a lambda2 eigenvector"):
-                classify_structural(g, basis, lambda2)
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            classify_structural(path_graph(3), np.ones((4, 1)), 1.0)
-
-    def test_one_dimensional_vector_rejected(self):
-        # one vector y is passed as the 3 x 1 basis y[:, None]
-        with pytest.raises(ValueError, match="shape"):
-            classify_structural(path_graph(3), np.array([1.0, 0.0, -1.0]), 1.0)
 
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_zero_tolerance_must_be_finite_and_nonnegative(self, tol):
-        g = block_path(4, 3)
-        s = spectral_summary(g)
         with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
-            classify_structural(g, s.fiedler_basis, s.lambda2, zero_tol=tol)
+            classify_structural(block_path(4, 3), zero_tol=tol)
 
     def test_pathological_zero_tolerance_raises(self):
         # a threshold above max|y| blanks the vector: neither case matches
-        g = block_path(4, 3)
-        s = spectral_summary(g)
         with pytest.raises(ClassificationError):
-            classify_structural(g, s.fiedler_basis[:, :1], s.lambda2, zero_tol=10.0)
+            classify_structural(block_path(4, 3), zero_tol=10.0)
 
     @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 4), (5, 3)])
     def test_agrees_with_perron_route(self, k, p):
         g = block_path(k, p)
         perron_c, _ = classify_perron(g)
-        s = spectral_summary(g)
-        for structural_c in classify_structural(g, s.fiedler_basis, s.lambda2):
+        for structural_c in classify_structural(g):
             assert structural_c.verdict == perron_c.verdict
             assert structural_c.zero_vertex == perron_c.zero_vertex
-
-
-def _classify_tree(t):
-    s = spectral_summary(t)
-    return classify_structural(t, s.fiedler_basis, s.lambda2)
 
 
 class TestTreeType:
@@ -231,25 +181,25 @@ class TestTreeType:
     edge as the mixed block."""
 
     def test_odd_path(self):
-        (c,) = _classify_tree(path_graph(3))
+        (c,) = classify_structural(path_graph(3))
         assert (c.verdict, c.zero_vertex) == ("B", 2)
 
     def test_even_path(self):
-        (c,) = _classify_tree(path_graph(4))
+        (c,) = classify_structural(path_graph(4))
         assert (c.verdict, c.mixed_block) == ("A", (2, 3))
 
     def test_broom(self):
-        assert [c.verdict for c in _classify_tree(broom_tree(3, 3))] == ["A"]
+        assert [c.verdict for c in classify_structural(broom_tree(3, 3))] == ["A"]
 
     def test_star_has_zero_hub(self):
         # lambda2 = 1 with multiplicity 3; every basis vector vanishes at the hub
-        cs = _classify_tree(star_graph(4))
+        cs = classify_structural(star_graph(4))
         assert [(c.verdict, c.zero_vertex) for c in cs] == [("B", 1)] * 3
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_path_kind_follows_parity(self, n):
         # odd paths have a center vertex, even paths a center edge
-        (c,) = _classify_tree(path_graph(n))
+        (c,) = classify_structural(path_graph(n))
         if n % 2 == 1:
             assert (c.verdict, c.zero_vertex) == ("B", (n + 1) // 2)
         else:
@@ -258,11 +208,11 @@ class TestTreeType:
     def test_single_edge_rejected(self):
         # the one tree without a cut vertex
         with pytest.raises(ValueError, match="articulation point"):
-            _classify_tree(path_graph(2))
+            classify_structural(path_graph(2))
 
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError, match="articulation point"):
-            _classify_tree(build_graph(1, []))
+            classify_structural(build_graph(1, []))
 
 
 def _sorted_tuples(values, length):
@@ -277,8 +227,7 @@ class TestClassifierAgreementGrid:
         for arms in _sorted_tuples(range(0, 4), r):
             g = block_starlike(r, k, list(arms))
             perron_c, _ = classify_perron(g)
-            s = spectral_summary(g)
-            structural = classify_structural(g, s.fiedler_basis, s.lambda2)
+            structural = classify_structural(g)
             for j, structural_c in enumerate(structural):
                 assert structural_c.verdict == perron_c.verdict, (r, k, arms, j)
                 assert structural_c.zero_vertex == perron_c.zero_vertex, (r, k, arms, j)
@@ -305,8 +254,7 @@ class TestSpectralBounds:
 def _assert_routes_agree_on(g, expected):
     perron_c, _ = classify_perron(g)
     assert (perron_c.verdict, perron_c.zero_vertex) == expected
-    s = spectral_summary(g)
-    for structural_c in classify_structural(g, s.fiedler_basis, s.lambda2):
+    for structural_c in classify_structural(g):
         assert (structural_c.verdict, structural_c.zero_vertex) == expected
 
 
@@ -355,11 +303,20 @@ _SCALED_GRAPHS = {
 }
 
 
+def _assert_fiedler_eigen_equation(g, s):
+    """Every basis column y satisfies |L y - lambda2 y| <= RESIDUAL_REL_TOL *
+    |y| * the largest edge weight, a bound relative to the Laplacian's scale:
+    `classify_structural` classifies this basis without checking it."""
+    y = s.fiedler_basis
+    residual = np.linalg.norm(laplacian(g) @ y - s.lambda2 * y, axis=0)
+    assert (residual <= RESIDUAL_REL_TOL * np.linalg.norm(y, axis=0) * max(g.weights)).all()
+
+
 def _verdicts(g):
     s = spectral_summary(g)
+    _assert_fiedler_eigen_equation(g, s)
     perron_c, _ = classify_perron(g)
-    structural = [(c.verdict, c.zero_vertex)
-                  for c in classify_structural(g, s.fiedler_basis, s.lambda2)]
+    structural = [(c.verdict, c.zero_vertex) for c in classify_structural(g)]
     return s, ((perron_c.verdict, perron_c.zero_vertex), structural,
                perron_c.predicted_multiplicity, s.multiplicity, s.connected)
 
@@ -401,6 +358,7 @@ class TestBottleneckMatrices:
     @settings(max_examples=60, deadline=None)
     @given(weighted_clique_trees())
     def test_match_inverse_of_laplacian_submatrix(self, g):
+        _assert_fiedler_eigen_equation(g, spectral_summary(g))
         dec = block_decomposition(g)
         res = spectral._resistances(g, dec)
         lap = laplacian(g)
@@ -525,18 +483,18 @@ class TestRouteIsolation:
         assert calls["perron_rows"] == 9
 
     def test_structural_route_never_computes_perron_values(self, calls):
-        g = block_starlike(3, 4, [1, 1, 1])
-        s = spectral_summary(g)
-        classify_structural(g, s.fiedler_basis, s.lambda2)
+        classify_structural(block_starlike(3, 4, [1, 1, 1]))
         assert calls["perron_pairs"] == 0
         assert calls["eig_sym"] == 1
 
-    def test_perron_basis_runs_one_power_iteration_per_component(self, calls):
-        # the fresh K4 at the chain's center is a third, untied component;
-        # one batched call iterates on all three
+    def test_coalesced_chain_runs_one_power_iteration_for_every_component(self, calls):
+        # the fresh K4 at the chain's center is a third, untied component
+        # there; cut vertices 4 and 10 leave two parts each, and one batched
+        # call iterates on all seven
         g = coalesce(block_path(4, 3), 7, complete_graph(4), 1)
-        assert len(vertex_perron_data(g, 7).maximizers) == 2
-        assert calls == {"eig_sym": 0, "perron_pairs": 1, "perron_rows": 3}
+        _, by_vertex = classify_perron(g)
+        assert len(by_vertex[7].maximizers) == 2
+        assert calls == {"eig_sym": 0, "perron_pairs": 1, "perron_rows": 7}
 
     @pytest.mark.parametrize("argv", [
         ["classify", "{graph}", "--method", "both"],

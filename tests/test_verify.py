@@ -184,6 +184,15 @@ class TestKirklandChecker:
         with pytest.raises(ValueError, match="case-B"):
             check_kirkland_identities(block_path(4, 2))
 
+    def test_checks_every_other_cut_vertex(self):
+        # the maximizer test means something only where deleting v leaves
+        # two or more components, so it runs at every cut vertex but z and
+        # at no other vertex
+        g = block_path(4, 5)
+        report = check_kirkland_identities(g)
+        assert report.status == "pass"
+        assert report.measurements["sampled_vertices"] == len(g.decomposition.articulation_points) - 1
+
 
 class TestSweep:
     def test_parity_grid(self):
