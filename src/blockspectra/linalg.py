@@ -2,18 +2,17 @@
 
 numpy supplies array storage and vector arithmetic only; the eigensolver
 (Householder tridiagonalization, implicit QL for the eigenvalues, and
-inverse iteration on the tridiagonal for the eigenvectors), the SPD
-factorization (Cholesky), and the dominant-eigenpair iteration are
-implemented here.
+inverse iteration on the tridiagonal for the eigenvectors), the grounded
+Laplacian inverse (GTH elimination, which never subtracts), and the
+dominant-eigenpair iteration are implemented here.
 Everything targets small dense matrices (desk scale: graph.build_graph
 accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
 Both classifiers read `laplacian`; past it they draw on disjoint parts of
 this module.  Only the structural route calls `eig_sym`.  The Perron route
-uses the Cholesky pair (which solves the grounded Laplacian of each distinct
-block, cut from `laplacian`, for its resistances) and `perron_pairs`: one
-batched power iteration per request, over every component at once, reading
-the resistances directly; no bottleneck matrix is formed.
+takes resistances from `grounded_inverse`, once per distinct block, and
+reads them in `perron_pairs`: one batched power iteration per request, over
+every component at once; no bottleneck matrix is formed.
 
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
@@ -40,9 +39,9 @@ POWER_MAX_ITER = 50_000
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical breakdown: an iteration hit its cap before the
-    convergence test was met or reached a non-finite value on the way, a
-    Cholesky pivot was not positive, or a Perron vector was not positive."""
+    """A numerical breakdown: an iteration hit its cap or reached a
+    non-finite value, a block pivot was not finite, or a Perron vector
+    entry fell below 0 by more than rounding."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -252,36 +251,34 @@ def _tridiagonal_vectors(diag, off, lams):
     return found
 
 
-def cholesky_factor(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == m; raises ConvergenceError at the
-    first pivot that is not positive and finite (m is not SPD, or rounding
-    cancelled the pivot)."""
-    n = m.shape[0]
-    lower = np.zeros_like(m, dtype=float)
-    for j in range(n):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (pivot > 0.0) or not math.isfinite(pivot):
-            raise ConvergenceError(
-                f"non-positive pivot {float(pivot)!r} at column {j}; "
-                "matrix is not SPD in floating point"
-            )
-        lower[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (m[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
+def grounded_inverse(cond: np.ndarray) -> np.ndarray:
+    """Inverse of a connected graph's Laplacian grounded at vertex 0, zero in
+    row and column 0, from its conductances `cond` (the diagonal is unread).
 
-
-def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the Cholesky factor L; b is a vector or a
-    matrix whose columns are solved together."""
-    n = lower.shape[0]
-    y = np.array(b, dtype=float)
-    for i in range(n):
-        y[i] = (y[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = y
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - lower[i + 1:, i] @ x[i + 1:]) / lower[i, i]
-    return x
+    GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985) never
+    subtracts: pivot p_k = e_k + Σ_{j>k} c_kj sums vertex k's conductances to
+    the ground and to the vertices left, and eliminating k adds l_ik c_kj to
+    c_ij and l_ik e_k to e_i, l_ik = c_ik / p_k.  The grounded Laplacian is
+    then (I - L) D (I - L)ᵀ, inverted by forward and backward passes that add
+    nonnegative terms only.  Raises ConvergenceError at a non-finite pivot.
+    """
+    m = len(cond) - 1
+    a = cond[1:, [*range(1, m + 1), 0]]  # ground column last: p_k sums row k right of a[k, k]
+    for k in range(m):
+        a[k, k] = pivot = a[k, k + 1:].sum()
+        if not math.isfinite(pivot):
+            raise ConvergenceError(f"non-finite block pivot {float(pivot)!r} at vertex {k + 1}")
+        a[k + 1:, k] /= pivot  # now l_ik
+        a[k + 1:, k + 1:] += a[k + 1:, k, None] * a[k, k + 1:]
+    inv = np.zeros((m + 1, m + 1))
+    y = inv[1:, 1:]
+    np.fill_diagonal(y, 1.0)
+    for i in range(1, m):
+        y[i] += a[i, :i] @ y[:i]
+    y /= a.diagonal()[:, None]
+    for k in range(m - 2, -1, -1):
+        y[k] += a[k + 1:, k] @ y[k + 1:]
+    return inv
 
 
 def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronData]:
@@ -309,9 +306,9 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     first item still running, or at the first step where some row's Rayleigh
     quotient is not finite (`res` overflowed), naming that item.  After the
     loop it raises for the first item whose Perron vector, B x at the step
-    its row stopped, is not strictly positive, some entry on C lacking the
-    sign of the row's sum (`res` is then no resistance array, some entry of
-    B being negative, or rounding zeroed an entry).
+    its row stopped scaled to sum 1, has an entry on C below -8 · 2**-52,
+    more than rounding leaves (`res` is then no resistance array, some
+    entry of B being negative).
 
     Returns one PerronData per item, in item order: its Perron value and the
     steps its row took.  No vector is kept.
@@ -360,7 +357,8 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
             values[out] = rq[done]
             iterations[out] = step
             bx /= bx.sum(axis=1)[:, None]  # a negative sum flips the sign
-            positive[out] = ((bx > 0) | ~support[out]).all(axis=1)
+            # rounding leaves a vanishing entry of a sum-1 vector a few ulps below 0
+            positive[out] = ((bx > -8 * 2.0 ** -52) | ~support[out]).all(axis=1)
             keep = np.flatnonzero(~done)
             live, at, fold = live[keep], at[keep], fold[keep]
             y, rq = y[keep], rq[keep]
@@ -373,7 +371,7 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
         raise ConvergenceError(
             f"dominant eigenvector of the component of {sizes[j]} vertices at cut "
             f"vertex {ground[j] + 1} is not strictly positive; the input is not a "
-            "resistance array, or rounding zeroed an entry"
+            "resistance array"
         )
     return [PerronData(value=val, iterations=it)
             for val, it in zip(values.tolist(), iterations.tolist())]

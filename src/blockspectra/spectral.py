@@ -24,13 +24,14 @@ of g minus a vertex come from that tree (`BlockDecomposition.components_without`
 for both routes.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
-vertices, so R comes from one pass over the rooted tree, solving only the
-grounded Laplacian of each distinct block, once.  Then one batched power
-iteration per request (`linalg.perron_pairs`) finds the Perron value of every
-(cut vertex, component) item from R directly; no bottleneck matrix is
-formed.  Both routes read `laplacian(g)`, but the structural route alone
-calls the eigensolver, so the two classifiers share no numerical machinery,
-which is the point: each one cross-checks the other.
+vertices, so R comes from one pass over the rooted tree, inverting the
+grounded Laplacian of each distinct block once, by subtraction-free GTH
+elimination (`linalg.grounded_inverse`).  Then one batched power iteration
+per request (`linalg.perron_pairs`) finds the Perron value of every (cut
+vertex, component) item from R directly; no bottleneck matrix is formed.
+Both routes read `laplacian(g)`, but the structural route alone calls the
+eigensolver, so the two classifiers share no numerical machinery, which is
+the point: each one cross-checks the other.
 """
 
 import itertools
@@ -40,7 +41,7 @@ import numpy as np
 
 from .blocks import BlockDecomposition
 from .graph import Graph, is_connected
-from .linalg import cholesky_factor, cholesky_solve, eig_sym, laplacian, perron_pairs
+from .linalg import eig_sym, grounded_inverse, laplacian, perron_pairs
 
 ZERO_REL_TOL = 1e-7
 TIE_REL_TOL = 1e-9
@@ -125,31 +126,27 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     before it than a is.  Vertex 1 is placed first, then each block in the
     rooted order, which places a before the block hanging from it.
 
-    A block's local Laplacian, in block order, is cut from `laplacian(g)`:
-    every edge joining two of its vertices lies in the block, so the cut's
-    off-diagonal entries are the block's own, and its diagonal is summed
-    again from them.  Its inverse grounded at the block's first vertex gives
-    the block's resistances.  Each distinct block is solved once: a memo for
-    this call, keyed on the bytes of the cut's off-diagonal part (size, edges
-    and weights, which fix the diagonal), lets equal blocks (every block of a
-    clique chain) share one factorization, and a hit returns exactly what a
-    fresh solve would.
+    A block's conductances, in block order, are cut from `-laplacian(g)`
+    with its diagonal zeroed: every edge joining two of its vertices lies in
+    the block, so the cut's entries are the block's own.  The inverse of its
+    Laplacian grounded at the block's first vertex (`grounded_inverse`)
+    gives the block's resistances.  Each distinct block is solved once: a
+    memo for this call, keyed on the bytes of the cut (size, edges and
+    weights), lets equal blocks (every block of a clique chain) share one
+    solve, and a hit returns exactly what a fresh solve would.
     """
-    off = laplacian(g)
-    np.fill_diagonal(off, 0.0)
+    cond = -laplacian(g)
+    np.fill_diagonal(cond, 0.0)
     res = np.zeros((g.n, g.n))
     placed = np.zeros(1, dtype=int)  # vertex 1
     solved: dict[bytes, np.ndarray] = {}
     for i, a in dec.rooted:
         block = dec.blocks[i]
         at = np.array(block) - 1
-        local = off[at[:, None], at]
+        local = cond[at[:, None], at]
         key = local.tobytes()
         if key not in solved:
-            s = len(block)
-            np.fill_diagonal(local, -local.sum(axis=1))
-            green = np.zeros((s, s))
-            green[1:, 1:] = cholesky_solve(cholesky_factor(local[1:, 1:]), np.eye(s - 1))
+            green = grounded_inverse(local)
             d = green.diagonal()
             # G + G^T is exactly symmetric where the solved G need not be
             solved[key] = (d[:, None] + d) - (green + green.T)

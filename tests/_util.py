@@ -104,3 +104,14 @@ def bottlenecks(g: Graph, v: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
         r = res[idx, v - 1]
         out.append((comp, (r[:, None] + r - res[np.ix_(idx, idx)]) / 2))
     return out
+
+
+def random_weighted_clique_tree(rng, s) -> Graph:
+    """A clique tree of 2 to 12 cliques of 2 to 6 vertices, each glued at a
+    uniform vertex, with weights 10**U(-s, s), drawn from the
+    `random.Random` rng in a fixed order."""
+    sizes = [rng.randint(2, 6) for _ in range(rng.randint(2, 12))]
+    g = complete_graph(sizes[0])
+    for k in sizes[1:]:
+        g = coalesce(g, rng.randint(1, g.n), complete_graph(k), 1)
+    return build_graph(g.n, g.edges, {e: 10 ** rng.uniform(-s, s) for e in g.edges})

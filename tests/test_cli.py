@@ -120,22 +120,28 @@ def test_infinite_weight_rejected(capsys, monkeypatch, argv):
 _PERRON_NAN = ("non-convergence: power iteration reached a non-finite value nan at "
                "step 1 at cut vertex 2 for its component of 1 vertices")
 _EIG_CAP = "non-convergence: inverse iteration cap 8 reached for eigenvalue 1e+308"
+_BIG_PATH = "3 2\n1 2 1e308\n2 3 1e-308\n"
+_BIG_TRIANGLE = "4 4\n1 2 1e308\n2 3 1e308\n1 3 1e308\n3 4\n"
+_PIVOT = "non-convergence: non-finite block pivot inf at vertex 1"
 
 
-@pytest.mark.parametrize("argv,message", [
-    pytest.param(["classify", "--method", "perron"], _PERRON_NAN, id="perron"),
-    pytest.param(["classify", "--method", "both"], _PERRON_NAN, id="both"),
-    pytest.param(["classify", "--method", "structural"], _EIG_CAP, id="structural"),
-    pytest.param(["spectrum"], _EIG_CAP, id="spectrum"),
+@pytest.mark.parametrize("text,argv,message", [
+    pytest.param(_BIG_PATH, ["classify", "--method", "perron"], _PERRON_NAN, id="perron"),
+    pytest.param(_BIG_PATH, ["classify", "--method", "both"], _PERRON_NAN, id="both"),
+    pytest.param(_BIG_PATH, ["classify", "--method", "structural"], _EIG_CAP, id="structural"),
+    pytest.param(_BIG_PATH, ["spectrum"], _EIG_CAP, id="spectrum"),
+    pytest.param(_BIG_TRIANGLE, ["classify", "--method", "perron"], _PIVOT, id="triangle-perron"),
+    pytest.param(_BIG_TRIANGLE, ["classify", "--method", "both"], _PIVOT, id="triangle-both"),
 ])
-def test_overflowing_resistances_fail_fast(capsys, monkeypatch, argv, message):
+def test_overflowing_resistances_fail_fast(capsys, monkeypatch, text, argv, message):
     # the edge of weight 1e-308 has resistance 1e308, which overflows the
     # resistance pass to nan; the power iteration stops at its first
     # non-finite value instead of running 50 000 steps on nan.  The weight
     # 1e308 overflows the eigensolver's norm of T, and inverse iteration stops
-    # at its cap.  Either way one stderr line names the failure, with no
-    # numpy warning ahead of it.
-    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2 1e308\n2 3 1e-308\n"))
+    # at its cap.  On the triangle every block pivot sums two weights of
+    # 1e308, which overflows.  Each way one stderr line names the failure,
+    # with no numpy warning ahead of it.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -151,6 +157,10 @@ def _weak_path(w):
     return f"5 4\n1 2\n2 3 {w}\n3 4\n4 5\n"
 
 
+# a triangle tied to its pendant's cut vertex 3 by one strong edge
+_WEAK_TRIANGLE = "4 4\n1 2 1e-20\n2 3\n1 3 1e-20\n3 4\n"
+
+
 def _uniform(g, w):
     return format_edge_list(build_graph(g.n, g.edges, {e: w for e in g.edges}))
 
@@ -158,7 +168,7 @@ def _uniform(g, w):
 @pytest.mark.parametrize("text", [
     pytest.param(_weak_path("1e-18"), id="weak-path-1e-18"),
     pytest.param(_weak_path("1e-50"), id="weak-path-1e-50"),
-    pytest.param("4 4\n1 2 1e-20\n2 3\n1 3 1e-20\n3 4\n", id="triangle-1e-20"),
+    pytest.param(_WEAK_TRIANGLE, id="triangle-1e-20"),
     pytest.param("3 2\n1 2 1e308\n2 3 1e-308\n", id="path-1e308-1e-308"),
     pytest.param(_uniform(block_path(4, 3), 1e-160), id="block-path-1e-160"),
     pytest.param(_uniform(block_path(4, 3), 1e300), id="block-path-1e300"),
@@ -177,6 +187,28 @@ def test_no_command_ends_in_a_traceback(capsys, monkeypatch, text, argv):
     code, _, err = run(capsys, argv[0], "-", *argv[1:])
     assert code in (0, 2, 3)
     assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_WEAK_TRIANGLE, id="triangle-1e-20"),
+    *(pytest.param(_weak_path(f"1e-{k}"), id=f"weak-path-1e-{k}")
+      for k in (*range(2, 21, 2), 50, 100)),
+])
+def test_weak_weights_keep_the_perron_verdict(capsys, monkeypatch, text):
+    # a Cholesky pivot of the triangle's grounded Laplacian,
+    # 1 + 1e-20 - 1 / (1 + 1e-20), rounds to 0, and from 1e-18 on the weak
+    # path's Perron vectors have entries a few ulps below 0: neither may
+    # cost the verdict A
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "classify", "-", "--method", "both")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)["classification"]
+    assert doc["agreement"] is True
+    assert doc["perron"]["verdict"] == "A"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "classify", "-", "--method", "perron")
+    assert code == 0
+    assert json.loads(out)["classification"]["perron"]["verdict"] == "A"
 
 
 @pytest.mark.parametrize("argv", [

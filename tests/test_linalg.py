@@ -20,7 +20,7 @@ from blockspectra import (
     star_graph,
 )
 from blockspectra import linalg, spectral
-from blockspectra.linalg import cholesky_factor, cholesky_solve, perron_pairs
+from blockspectra.linalg import grounded_inverse, perron_pairs
 from _util import clique_tree
 
 RNG = np.random.default_rng(20240817)
@@ -47,11 +47,6 @@ def assert_sign_rule(vectors):
     """The largest-magnitude entry of each column is positive."""
     for col in vectors.T:
         assert col[int(np.argmax(np.abs(col)))] > 0
-
-
-def random_spd(n):
-    m = RNG.normal(size=(n, n))
-    return m @ m.T + n * np.eye(n)
 
 
 class TestLaplacian:
@@ -259,38 +254,38 @@ class TestEigSymSelect:
             eig_sym(lap)  # every vector comes from inverse iteration
 
 
-def spd_solve(m, b):
-    """Solve m x = b through the factor and solve pair power iteration uses."""
-    return cholesky_solve(cholesky_factor(m), b)
+def random_conductances(n, span):
+    """Symmetric conductances 10**U(-span, span) between every pair, zero
+    diagonal: a complete block."""
+    c = np.triu(10.0 ** RNG.uniform(-span, span, size=(n, n)), 1)
+    return c + c.T
 
 
-class TestSpdSolve:
-    def test_scalar(self):
-        assert np.allclose(spd_solve(np.array([[2.0]]), np.array([4.0])), [2.0])
+class TestGroundedInverse:
+    def test_single_edge(self):
+        assert np.array_equal(grounded_inverse(np.array([[0.0, 4.0], [4.0, 0.0]])),
+                              [[0.0, 0.0], [0.0, 0.25]])
 
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(spd_solve(np.eye(3), b), b)
+    @pytest.mark.parametrize("n,span", [(2, 0), (5, 0), (5, 2), (17, 2), (17, 4)])
+    def test_matches_reference_inverse(self, n, span):
+        cond = random_conductances(n, span)
+        lap = np.diag(cond.sum(axis=1)) - cond
+        inv = grounded_inverse(cond)
+        assert not inv[0].any() and not inv[:, 0].any()
+        ref = np.linalg.inv(lap[1:, 1:])
+        assert np.abs(inv[1:, 1:] - ref).max() <= 1e-12 * 10.0 ** span * np.abs(ref).max()
 
-    def test_grounded_path_block(self):
-        m = np.array([[1.0, -1.0], [-1.0, 2.0]])
-        assert np.allclose(spd_solve(m, np.ones(2)), [3.0, 2.0], atol=1e-12)
+    def test_diagonal_is_not_read(self):
+        cond = random_conductances(6, 1)
+        noisy = cond + np.diag(RNG.normal(size=6))
+        assert np.array_equal(grounded_inverse(noisy), grounded_inverse(cond))
 
-    def test_matches_reference_solver(self):
-        for n in (2, 5, 17):
-            m = random_spd(n)
-            b = RNG.normal(size=n)
-            x = spd_solve(m, b)
-            assert np.allclose(x, np.linalg.solve(m, b), atol=1e-9)
-            assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(ConvergenceError, match="non-positive pivot"):
-            spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
-
-    def test_singular_rejected(self):
-        with pytest.raises(ConvergenceError, match="non-positive pivot"):
-            spd_solve(np.zeros((2, 2)), np.ones(2))
+    def test_weak_ground_keeps_its_pivot(self):
+        # the triangle joined to its ground by 1e-20 twice: a Cholesky pivot
+        # of its grounded Laplacian, 1 + 1e-20 - 1 / (1 + 1e-20), rounds to
+        # 0, while GTH's second pivot is the sum 1e-20 + 1e-20
+        cond = np.array([[0.0, 1e-20, 1e-20], [1e-20, 0.0, 1.0], [1e-20, 1.0, 0.0]])
+        assert np.allclose(grounded_inverse(cond)[1:, 1:], 5e19, rtol=1e-15, atol=0.0)
 
 
 def perron_items(g, vertices):

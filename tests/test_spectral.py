@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import blockspectra
 from blockspectra import (
     ClassificationError,
+    ConvergenceError,
     block_decomposition,
     block_path,
     block_starlike,
@@ -27,10 +29,10 @@ from blockspectra import (
     star_graph,
 )
 from blockspectra import spectral
-from blockspectra.linalg import cholesky_factor, cholesky_solve
+from blockspectra.linalg import grounded_inverse
 from blockspectra.cli import main
 from blockspectra.verify import RESIDUAL_REL_TOL
-from _util import bottlenecks, clique_tree, delete_vertex_components
+from _util import bottlenecks, clique_tree, delete_vertex_components, random_weighted_clique_tree
 
 
 class TestSpectralSummary:
@@ -338,6 +340,25 @@ class TestScaleFree:
         assert s.lambda2 / c == pytest.approx(base.lambda2, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [0, 2, 4, 8, 16])
+def test_perron_route_answers_seeded_weighted_clique_trees(s):
+    # weights 10**U(-s, s): the Perron route answers every tree, and up to
+    # s = 8 the structural route agrees wherever it answers (past that its
+    # sign test prints wrong verdicts, ROADMAP J)
+    rng = random.Random(1000 + s)
+    for _ in range(40):
+        g = random_weighted_clique_tree(rng, s)
+        perron_c, _ = classify_perron(g)
+        if s > 8:
+            continue
+        try:
+            structural = classify_structural(g)
+        except (ClassificationError, ConvergenceError):
+            continue
+        for c in structural:
+            assert (c.verdict, c.zero_vertex) == (perron_c.verdict, perron_c.zero_vertex)
+
+
 @st.composite
 def weighted_clique_trees(draw):
     """Random clique trees, half of them with random positive edge weights."""
@@ -386,7 +407,8 @@ class TestBottleneckMatrices:
 
 
 class TestDistinctBlockSolves:
-    """`_resistances` factors each distinct block Laplacian once per call."""
+    """`_resistances` inverts each distinct grounded block Laplacian once per
+    call."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -408,41 +430,39 @@ class TestDistinctBlockSolves:
             # within a block, R is exactly a fresh solve of the block's own
             # Laplacian, grounded at its first vertex
             s = len(block)
-            local = np.zeros((s, s))
+            cond = np.zeros((s, s))
             for (u, v), w in zip(g.edges, g.weights):
                 if u in block and v in block:
                     i, j = block.index(u), block.index(v)
-                    local[i, j] = local[j, i] = -w
-            np.fill_diagonal(local, -local.sum(axis=1))
-            green = np.zeros((s, s))
-            green[1:, 1:] = cholesky_solve(cholesky_factor(local[1:, 1:]), np.eye(s - 1))
+                    cond[i, j] = cond[j, i] = w
+            green = grounded_inverse(cond)
             d = green.diagonal()
             fresh = (d[:, None] + d) - (green + green.T)
             idx = np.array(block) - 1
             assert np.array_equal(res[np.ix_(idx, idx)], fresh)
 
     @pytest.fixture
-    def factorizations(self, monkeypatch):
+    def solves(self, monkeypatch):
         calls = []
 
-        def counted(m, _original=spectral.cholesky_factor):
-            calls.append(m.shape)
-            return _original(m)
+        def counted(cond, _original=spectral.grounded_inverse):
+            calls.append(cond.shape)
+            return _original(cond)
 
-        monkeypatch.setattr(spectral, "cholesky_factor", counted)
+        monkeypatch.setattr(spectral, "grounded_inverse", counted)
         return calls
 
-    def test_equal_blocks_factor_once(self, factorizations):
+    def test_equal_blocks_factor_once(self, solves):
         classify_perron(block_path(4, 20))
-        assert factorizations == [(3, 3)]
+        assert solves == [(4, 4)]
 
-    def test_one_reweighted_block_factors_twice(self, factorizations):
+    def test_one_reweighted_block_factors_twice(self, solves):
         g = block_path(4, 20)
         # block 6 spans labels 16..19; its weights double, the other 20 stay 1
         heavy = {(u, v): 2.0 for u, v in g.edges if 16 <= u and v <= 19}
         assert len(heavy) == 6
         classify_perron(build_graph(g.n, g.edges, heavy))
-        assert factorizations == [(3, 3), (3, 3)]
+        assert solves == [(4, 4), (4, 4)]
 
 
 class TestRouteIsolation:
@@ -451,7 +471,7 @@ class TestRouteIsolation:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"eig_sym": 0, "perron_pairs": 0, "perron_rows": 0}
+        counts = {"eig_sym": 0, "grounded_inverse": 0, "perron_pairs": 0, "perron_rows": 0}
 
         def counted_eig(*args, _original=spectral.eig_sym, **kwargs):
             counts["eig_sym"] += 1
@@ -462,7 +482,12 @@ class TestRouteIsolation:
             counts["perron_rows"] += len(support)
             return _original(res, ground, support)
 
+        def counted_solve(cond, _original=spectral.grounded_inverse):
+            counts["grounded_inverse"] += 1
+            return _original(cond)
+
         monkeypatch.setattr(spectral, "eig_sym", counted_eig)
+        monkeypatch.setattr(spectral, "grounded_inverse", counted_solve)
         monkeypatch.setattr(spectral, "perron_pairs", counted_perron)
         return counts
 
@@ -478,6 +503,7 @@ class TestRouteIsolation:
         # one batched power iteration for every component of every cut vertex
         classify_perron(block_starlike(3, 4, [1, 1, 1]))
         assert calls["eig_sym"] == 0
+        assert calls["grounded_inverse"] == 1  # six unit K4 blocks, one solve
         assert calls["perron_pairs"] == 1
         # hub 1 leaves 3 arms; each of the 3 other cut vertices leaves 2 parts
         assert calls["perron_rows"] == 9
@@ -485,6 +511,7 @@ class TestRouteIsolation:
     def test_structural_route_never_computes_perron_values(self, calls):
         classify_structural(block_starlike(3, 4, [1, 1, 1]))
         assert calls["perron_pairs"] == 0
+        assert calls["grounded_inverse"] == 0
         assert calls["eig_sym"] == 1
 
     def test_coalesced_chain_runs_one_power_iteration_for_every_component(self, calls):
@@ -494,7 +521,8 @@ class TestRouteIsolation:
         g = coalesce(block_path(4, 3), 7, complete_graph(4), 1)
         _, by_vertex = classify_perron(g)
         assert len(by_vertex[7].maximizers) == 2
-        assert calls == {"eig_sym": 0, "perron_pairs": 1, "perron_rows": 7}
+        # every block is a unit K4, so one grounded inverse serves them all
+        assert calls == {"eig_sym": 0, "grounded_inverse": 1, "perron_pairs": 1, "perron_rows": 7}
 
     @pytest.mark.parametrize("argv", [
         ["classify", "{graph}", "--method", "both"],
