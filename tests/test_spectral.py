@@ -166,6 +166,37 @@ class TestClassifyStructural:
         with pytest.raises(ClassificationError):
             classify_structural(block_path(4, 3), zero_tol=10.0)
 
+    # block_path(3, 2) has blocks (1, 2, 3), (3, 4, 5), (5, 6, 7) and cut
+    # vertices 3 and 5; each vector reaches one outcome of the sign tests
+    @pytest.mark.parametrize("y,message", [
+        ((1, -1, .5, 1, -1, .5, .5), "blocks carry both signs"),
+        ((1, -1, .5, .5, .5, 0, 0), "neither sign-pure"),
+        ((-1, -1, 1, 1, .5, .5, .5), r"along \[3, 5\] are not monotone"),
+        ((0, 1, 1, 1, 1, 1, 1), "zero vertex 1 is not a cut vertex"),
+    ])
+    def test_sign_pattern_rejected(self, monkeypatch, y, message):
+        self._fix_fiedler_vector(monkeypatch, y)
+        with pytest.raises(ClassificationError, match=message):
+            classify_structural(block_path(3, 2))
+
+    @pytest.mark.parametrize("y,expected", [
+        ((-1, -1, .5, 1, 1, 1, 1), ("A", None, (1, 2, 3))),
+        ((1, 1, 0, -1, -1, -1, -1), ("B", 3, None)),
+    ])
+    def test_sign_pattern_classified(self, monkeypatch, y, expected):
+        self._fix_fiedler_vector(monkeypatch, y)
+        (c,) = classify_structural(block_path(3, 2))
+        assert (c.verdict, c.zero_vertex, c.mixed_block) == expected
+
+    @staticmethod
+    def _fix_fiedler_vector(monkeypatch, y):
+        basis = np.array(y, dtype=float)[:, None]
+        summary = spectral.SpectralSummary(
+            lambda2=1.0, multiplicity=1, fiedler_basis=basis,
+            spectrum=np.zeros(len(y)), connected=True,
+        )
+        monkeypatch.setattr(spectral, "spectral_summary", lambda g: summary)
+
     @pytest.mark.parametrize("k,p", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 4), (5, 3)])
     def test_agrees_with_perron_route(self, k, p):
         g = block_path(k, p)
