@@ -19,9 +19,10 @@ vertex.  It returns the verdict with a dict from each cut vertex to its
 the tie margin.
 
 The Perron route reads only the Laplacian's entries and the block-cut tree,
-which `Graph.decomposition` builds and roots once per graph.  The components
-of g minus a vertex come from that tree (`BlockDecomposition.components_without`),
-for both routes.  The inverses are bottleneck matrices, Green's functions
+which `Graph.decomposition` builds and roots once per graph.  It lists the
+components of g minus each cut vertex from that tree
+(`BlockDecomposition.components_without`); the structural route walks the
+tree and lists none.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
 vertices, so R comes from one pass over the rooted tree, inverting the
@@ -235,14 +236,6 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def _sign_pattern(y: np.ndarray, zero_tol: float) -> np.ndarray:
-    threshold = zero_tol * float(np.abs(y).max())
-    signs = np.zeros(len(y), dtype=int)
-    signs[y > threshold] = 1
-    signs[y < -threshold] = -1
-    return signs
-
-
 def classify_structural(
     g: Graph,
     *,
@@ -262,94 +255,60 @@ def classify_structural(
 
 
 def _classify_vector(g, dec, y, zero_tol):
-    signs = _sign_pattern(y, zero_tol)
-    mixed = [
-        i for i, block in enumerate(dec.blocks)
-        if any(signs[v - 1] > 0 for v in block) and any(signs[v - 1] < 0 for v in block)
-    ]
+    """Case A or B for one Fiedler vector y, from its signs.
+
+    Case A: exactly one block M carries both signs and every other block is
+    sign-pure or all zero.  Walking the block-cut tree away from M, a block
+    entered through cut vertex a has a's sign (or is all zero), so "every
+    chain of cut vertices rises, falls or stays zero with its first one"
+    is the rule sign(a) * (y_x - y_a) >= -zero_tol * max|y| for each other
+    cut vertex x of the block.  Case B: no block carries both signs, so no
+    edge joins + to -, and a path from + to - passes a zero vertex beside
+    the support; if that vertex is unique and a cut vertex, it separates
+    every sign change.
+    """
+    slack = zero_tol * float(np.abs(y).max())
+    values = y.tolist()
+    signs = [1 if v > slack else -1 if v < -slack else 0 for v in values]
+    block_signs = [{signs[v - 1] for v in block} for block in dec.blocks]
+    mixed = [i for i, found in enumerate(block_signs) if {1, -1} <= found]
     if len(mixed) > 1:
         raise ClassificationError(
             f"{len(mixed)} blocks carry both signs; no case admits more than one"
         )
-    if len(mixed) == 1:
-        return _classify_case_a(y, dec, signs, mixed[0], zero_tol)
-    return _classify_case_b(g, dec, signs)
-
-
-def _classify_case_a(y, dec, signs, mixed_idx, zero_tol):
-    for i, block in enumerate(dec.blocks):
-        if i == mixed_idx:
-            continue
-        block_signs = {int(signs[v - 1]) for v in block}
-        if block_signs not in ({0}, {1}, {-1}):
-            raise ClassificationError(
-                f"block {block} is neither sign-pure nor all-zero: cannot classify"
-            )
-    _check_monotone_paths(y, dec, mixed_idx, zero_tol)
-    return CaseClassification(verdict="A", mixed_block=dec.blocks[mixed_idx])
-
-
-def _check_monotone_paths(y, dec, mixed_idx, zero_tol):
-    """Walk the block-cut tree away from the mixed block and require the cut
-    vertex values along every chain to rise, fall, or stay zero according to
-    the sign of the chain's first cut vertex."""
-    slack = zero_tol * float(np.abs(y).max())
-    # (block, the cut vertex it was entered by, the chain so far), depth first
-    # with an explicit stack: a recursive closure would refer to itself and
-    # leave a reference cycle behind on every call
-    stack = [(mixed_idx, None, [])]
-    while stack:
-        block_idx, entry_art, sequence = stack.pop()
-        nexts = [
-            (nxt, art, sequence + [art])
-            for art in dec.articulations_in_block(block_idx) if art != entry_art
-            for nxt in dec.blocks_containing(art) if nxt != block_idx
+    if not mixed:
+        zero_candidates = [
+            v for v in g.vertices()
+            if signs[v - 1] == 0 and any(signs[w - 1] != 0 for w in g.neighbors(v))
         ]
-        if not nexts and sequence:
-            _require_monotone(y, sequence, slack)
-        stack.extend(reversed(nexts))
-
-
-def _require_monotone(y, arts, slack):
-    values = [float(y[a - 1]) for a in arts]
-    first = values[0]
-    if abs(first) <= slack:
-        if any(abs(v) > slack for v in values):
+        if len(zero_candidates) != 1:
             raise ClassificationError(
-                f"cut-vertex chain {arts} starts at zero but is not all zero"
+                "no block mixes signs but the zero vertex adjacent to support is not "
+                f"unique: candidates {zero_candidates}"
             )
-        return
-    direction = 1.0 if first > 0 else -1.0
-    for prev, nxt in zip(values, values[1:]):
-        if direction * (nxt - prev) < -slack:
+        (z,) = zero_candidates
+        if z not in dec.articulation_points:
+            raise ClassificationError(f"zero vertex {z} is not a cut vertex")
+        return CaseClassification(verdict="B", zero_vertex=z)
+    (m,) = mixed
+    for i, found in enumerate(block_signs):
+        if len(found) > 1 and i != m:
             raise ClassificationError(
-                f"cut-vertex values along {arts} are not monotone: {values}"
+                f"block {dec.blocks[i]} is neither sign-pure nor all-zero: cannot classify"
             )
-
-
-def _classify_case_b(g, dec, signs):
-    zero_candidates = [
-        v for v in g.vertices()
-        if signs[v - 1] == 0 and any(signs[w - 1] != 0 for w in g.neighbors(v))
-    ]
-    if len(zero_candidates) != 1:
-        raise ClassificationError(
-            "no block mixes signs but the zero vertex adjacent to support is not "
-            f"unique: candidates {zero_candidates}"
-        )
-    z = zero_candidates[0]
-    components = dec.components_without(z)
-    if len(components) < 2:
-        raise ClassificationError(f"zero vertex {z} is not a cut vertex")
-    for comp in components:
-        comp_signs = {int(signs[v - 1]) for v in comp}
-        if 1 in comp_signs and -1 in comp_signs:
-            raise ClassificationError(
-                f"a sign change avoids the zero vertex {z} (component {comp})"
-            )
-    return CaseClassification(
-        verdict="B",
-        zero_vertex=z,
-        perron_components=None,
-        predicted_multiplicity=None,
-    )
+    # (block, the cut vertex it was entered through), depth first from M with
+    # an explicit stack: a recursive closure would refer to itself and leave
+    # a reference cycle behind on every call
+    stack = [(m, None)]
+    while stack:
+        b, a = stack.pop()
+        for x in dec.articulations_in_block(b):
+            if x == a:
+                continue
+            if a is not None and signs[a - 1] * (values[x - 1] - values[a - 1]) < -slack:
+                raise ClassificationError(
+                    f"cut-vertex values along [{a}, {x}] are not monotone: "
+                    f"[{values[a - 1]}, {values[x - 1]}]"
+                )
+            stack.extend((nxt, x) for nxt in dec.blocks_containing(x) if nxt != b)
+    return CaseClassification(verdict="A", mixed_block=dec.blocks[m])

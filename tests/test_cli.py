@@ -493,6 +493,14 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)[0]["status"] == "pass"
 
+    @pytest.mark.parametrize("theorem", ["kirkland", "twins"])
+    def test_unequal_arm_starlike_instance(self, capsys, theorem):
+        # arms 2, 2, 1: the two long arms tie at the hub, the short one is untied
+        code, out, _ = run(capsys, "verify", "--theorem", theorem,
+                           "-r", "3", "-k", "4", "--arms", "2,2,1")
+        assert code == 0
+        assert json.loads(out)[0]["status"] == "pass"
+
     def test_starlike_sweep_over_arm_triples(self, capsys):
         code, out, err = run(capsys, "verify", "--theorem", "starlike-A",
                              "--sweep", "k=3,p1=0..3,p2=0..3,p3=0..3")
@@ -554,6 +562,19 @@ class TestVerify:
                              "-k", "2", "-p", "1")
         assert code == 2
         assert "failed" in err
+
+    def test_other_checker_error_exits_2(self, capsys, monkeypatch):
+        import blockspectra.verify as verify_mod
+
+        def pathological(k, p):
+            raise blockspectra.ClassificationError("two tied vertices")
+
+        monkeypatch.setattr(verify_mod, "check_path_parity", pathological)
+        code, out, err = run(capsys, "verify", "--theorem", "path-parity",
+                             "-k", "2", "-p", "1")
+        assert code == 2
+        assert json.loads(out)[0]["failures"] == ["ClassificationError: two tied vertices"]
+        assert "unexpected error" in err
 
     def test_nonconvergence_exits_3(self, capsys, monkeypatch):
         import blockspectra.verify as verify_mod

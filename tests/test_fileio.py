@@ -123,3 +123,14 @@ class TestJson:
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             format_json({"x": object()})
+
+
+@pytest.mark.parametrize("call,arg,error,message", [
+    (parse_edge_list, "2 x\n", ValueError, "line 1: header must contain two integers"),
+    (parse_edge_list, "2 1\n1 2 3 4\n", ValueError, "line 2: expected 'u v' or 'u v w'"),
+    (format_json, {(1, 2): "tuple key"}, TypeError,
+     "keys must be str, int, float, bool or None, not tuple"),
+])
+def test_input_error(call, arg, error, message):
+    with pytest.raises(error, match=message):
+        call(arg)

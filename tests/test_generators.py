@@ -143,6 +143,10 @@ class TestBlockStarlike:
         with pytest.raises(ValueError, match="arm lengths"):
             block_starlike(3, 4, [1, 1])
 
+    def test_negative_arm_rejected(self):
+        with pytest.raises(ValueError, match="arm lengths must be >= 0"):
+            block_starlike(3, 3, [1, 0, -1])
+
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(2, 4),

@@ -395,3 +395,12 @@ class TestCoalesce:
         assert merged.m == g.m + h.m
         assert merged.degree(u) == g.degree(u) + h.degree(w)
         assert nx.is_connected(to_networkx(merged))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: build_graph(0, []), "vertex count must be >= 1, got 0"),
+    (lambda: coalesce(complete_graph(2), 1, complete_graph(2), 3), r"vertex 3 out of range 1\.\.2"),
+])
+def test_input_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -180,6 +180,14 @@ class TestKirklandChecker:
         assert report.status == "pass"
         assert report.measurements["lambda2"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_untied_arm_vanishes(self):
+        # arms 2, 2, 1 at hub 1: the short arm is the untied component, on
+        # which every Fiedler vector must vanish
+        report = check_kirkland_identities(block_starlike(3, 4, [2, 2, 1]))
+        assert report.status == "pass"
+        assert report.assertions == 15
+        assert report.measurements["perron_component_count"] == 2
+
     def test_case_a_rejected(self):
         with pytest.raises(ValueError, match="case-B"):
             check_kirkland_identities(block_path(4, 2))
@@ -267,6 +275,14 @@ class TestGridParsing:
         # otherwise the later term would silently replace the earlier one
         with pytest.raises(ValueError, match="'k' twice"):
             parse_grid("k=2,k=3,p=1")
+
+    @pytest.mark.parametrize("text,message", [
+        ("=1..3", "has an empty name"),
+        ("k=x", "grid value in 'k=x' must be an integer"),
+    ])
+    def test_rejected_term(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_grid(text)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
