@@ -36,7 +36,6 @@ from .graph import (
     build_graph,
     center,
     coalesce,
-    true_twin_partition,
 )
 from .linalg import (
     ConvergenceError,
@@ -117,5 +116,4 @@ __all__ = [
     "star_graph",
     "starlike_profile",
     "sweep",
-    "true_twin_partition",
 ]

@@ -48,14 +48,8 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(self.adjacency[v]) | {v}
 
 
 def build_graph(n: int, edges, weights=None) -> Graph:
@@ -133,15 +127,6 @@ def center(g: Graph) -> tuple[int, ...]:
         ecc[v] = max(dist.values())
     best = min(ecc.values())
     return tuple(v for v in g.vertices() if ecc[v] == best)
-
-
-def true_twin_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """The maximal classes of true twins (vertices whose closed
-    neighborhoods coincide), each sorted, ordered by smallest vertex."""
-    by_hood: dict[frozenset[int], list[int]] = {}
-    for v in g.vertices():
-        by_hood.setdefault(g.closed_neighborhood(v), []).append(v)
-    return tuple(sorted(tuple(sorted(c)) for c in by_hood.values()))
 
 
 def coalesce(g: Graph, u: int, h: Graph, w: int) -> Graph:

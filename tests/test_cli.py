@@ -211,6 +211,36 @@ def test_weak_weights_keep_the_perron_verdict(capsys, monkeypatch, text):
     assert json.loads(out)["classification"]["perron"]["verdict"] == "A"
 
 
+@pytest.mark.parametrize("w", [1e-140, 1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["classify", "--method", "structural"],
+    ["classify", "--method", "perron"],
+    ["classify", "--method", "both"],
+], ids=["spectrum", "structural", "perron", "both"])
+def test_tiny_uniform_weights_fail_or_answer_right(capsys, monkeypatch, w, argv):
+    # below a weight of about 1e-160 the eigensolver's Householder column
+    # norms underflow and its eigenvalues come out wrong; a run may then
+    # stop at non-convergence, but never print a wrong answer or a verdict
+    # failure.  Scaling every weight by w scales lambda2 by w and keeps case
+    # B at the chain's center, 7.
+    monkeypatch.setattr("sys.stdin", io.StringIO(_uniform(block_path(4, 3), w)))
+    code, out, _ = run(capsys, argv[0], "-", *argv[1:])
+    assert code in (0, 3)
+    if code == 3:
+        return
+    doc = json.loads(out)
+    if argv[0] == "spectrum":
+        assert doc["spectrum"]["lambda2"] == pytest.approx(0.3293784923643793 * w, rel=1e-9)
+        return
+    verdicts = [(r["verdict"], r["zero_vertex"])
+                for r in doc["classification"].get("structural", {}).get("per_vector", [])]
+    if "perron" in doc["classification"]:
+        perron = doc["classification"]["perron"]
+        verdicts.append((perron["verdict"], perron["zero_vertex"]))
+    assert verdicts and set(verdicts) == {("B", 7)}
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "path", "-n", "3", "--out", "x"],
     ["spectrum", "-", "--out", "x"],

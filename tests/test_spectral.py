@@ -31,7 +31,7 @@ from blockspectra import (
 from blockspectra import spectral
 from blockspectra.linalg import grounded_inverse
 from blockspectra.cli import main
-from blockspectra.verify import RESIDUAL_REL_TOL
+from blockspectra.verify import IDENTITY_REL_TOL
 from _util import bottlenecks, clique_tree, delete_vertex_components, random_weighted_clique_tree
 
 
@@ -337,12 +337,12 @@ _SCALED_GRAPHS = {
 
 
 def _assert_fiedler_eigen_equation(g, s):
-    """Every basis column y satisfies |L y - lambda2 y| <= RESIDUAL_REL_TOL *
+    """Every basis column y satisfies |L y - lambda2 y| <= IDENTITY_REL_TOL *
     |y| * the largest edge weight, a bound relative to the Laplacian's scale:
     `classify_structural` classifies this basis without checking it."""
     y = s.fiedler_basis
     residual = np.linalg.norm(laplacian(g) @ y - s.lambda2 * y, axis=0)
-    assert (residual <= RESIDUAL_REL_TOL * np.linalg.norm(y, axis=0) * max(g.weights)).all()
+    assert (residual <= IDENTITY_REL_TOL * np.linalg.norm(y, axis=0) * max(g.weights)).all()
 
 
 def _verdicts(g):

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from blockspectra import (
@@ -14,6 +16,7 @@ from blockspectra import (
     check_starlike_case_a,
     check_starlike_equal_arms,
     check_twins_lemma,
+    classify_perron,
     complete_graph,
     parse_arms,
     parse_grid,
@@ -21,9 +24,11 @@ from blockspectra import (
     reports_to_csv,
     reports_to_json,
     run_theorem,
+    spectral_summary,
     sweep,
 )
 from blockspectra import verify
+from _util import clique_tree, to_networkx
 
 
 class TestTwinsChecker:
@@ -50,6 +55,24 @@ class TestTwinsChecker:
     def test_clique_rejected(self):
         with pytest.raises(ValueError, match="articulation"):
             check_twins_lemma(complete_graph(4))
+
+    @pytest.mark.parametrize("g", [
+        *(block_path(k, p) for k in range(2, 7) for p in range(1, 9)),
+        *(clique_tree(list(rng.integers(2, 6, size=int(rng.integers(2, 6)))),
+                      list(rng.integers(0, 100, size=4)))
+          for rng in map(np.random.default_rng, range(40))),
+    ])
+    def test_one_assertion_per_twin_class_and_vector(self, g):
+        # the checker reads its twin classes off the blocks; networkx groups
+        # vertices by closed neighborhood independently
+        nxg = to_networkx(g)
+        classes = {}
+        for v in nxg:
+            classes.setdefault(frozenset(nxg[v]) | {v}, []).append(v)
+        sized = sum(len(c) >= 2 for c in classes.values())
+        report = check_twins_lemma(g)
+        assert report.status == ("pass" if sized else "skip")  # a path has no twins
+        assert report.assertions == report.measurements["multiplicity"] * sized
 
 
 class TestParityChecker:
@@ -158,6 +181,22 @@ class TestCoalescenceChecker:
     def test_triangles(self):
         assert check_coalescence(3, 3).status == "pass"
 
+    def test_preservation_is_relative_to_lambda2(self, monkeypatch):
+        # the coalesced graph's lambda2 off by 1e-6 relative, 9.3e-10 here
+        base_n = block_path(2, 101).n
+
+        def inflated(graph):
+            summary = spectral_summary(graph)
+            if graph.n == base_n:
+                return summary
+            return dataclasses.replace(summary, lambda2=summary.lambda2 * (1 + 1e-6))
+
+        monkeypatch.setattr(verify, "spectral_summary", inflated)
+        report = check_coalescence(2, 101)
+        assert report.measurements["lambda2_original"] == pytest.approx(9.3e-4, rel=0.01)
+        assert report.status == "fail"
+        assert [f.split(":")[0] for f in report.failures] == ["lambda2 preserved"]
+
     def test_even_p_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             check_coalescence(4, 2)
@@ -185,12 +224,33 @@ class TestKirklandChecker:
         # which every Fiedler vector must vanish
         report = check_kirkland_identities(block_starlike(3, 4, [2, 2, 1]))
         assert report.status == "pass"
-        assert report.assertions == 15
+        assert report.assertions == 10
         assert report.measurements["perron_component_count"] == 2
 
     def test_case_a_rejected(self):
         with pytest.raises(ValueError, match="case-B"):
             check_kirkland_identities(block_path(4, 2))
+
+    @pytest.mark.parametrize("g,lambda2", [
+        (build_graph(13, block_path(4, 3).edges,
+                     {e: 1e-3 for e in block_path(4, 3).edges}), 3.3e-4),
+        (block_path(2, 397), 6.2e-5),
+    ], ids=["block_path(4,3)@1e-3", "block_path(2,397)"])
+    def test_reciprocal_identity_is_relative_to_lambda2(self, monkeypatch, g, lambda2):
+        # a Perron value off by 1e-6 relative moves 1/rho by about 1e-6 *
+        # lambda2, far below an absolute 1e-8 when lambda2 is small
+        def inflated(graph):
+            classification, by_vertex = classify_perron(graph)
+            return classification, {
+                v: dataclasses.replace(d, values=tuple(x * (1 + 1e-6) for x in d.values))
+                for v, d in by_vertex.items()
+            }
+
+        monkeypatch.setattr(verify, "classify_perron", inflated)
+        report = check_kirkland_identities(g)
+        assert report.measurements["lambda2"] == pytest.approx(lambda2, rel=0.02)
+        assert report.status == "fail"
+        assert all(f.startswith("lambda2 equals reciprocal") for f in report.failures)
 
     def test_checks_every_other_cut_vertex(self):
         # the maximizer test means something only where deleting v leaves
@@ -320,7 +380,7 @@ class TestReportSerialization:
 
     def test_failures_column_carries_tolerance(self, monkeypatch):
         # no gap lies below a negative tolerance, so every twin check fails
-        monkeypatch.setattr(verify, "TWIN_REL_TOL", -1.0)
+        monkeypatch.setattr(verify, "IDENTITY_REL_TOL", -1.0)
         report = check_twins_lemma(block_path(4, 1))
         assert report.status == "fail"
         assert "(tolerance -1.0)" in reports_to_csv([report])
