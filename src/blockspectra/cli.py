@@ -14,6 +14,7 @@ be diffed.
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .verify import (
     parse_grid,
     reports_to_csv,
     reports_to_json,
-    run_theorem,
     sweep,
 )
 
@@ -213,27 +213,22 @@ def verify(args) -> None:
     evaluated assertion passed."""
     if args.sweep_grid is not None:
         grid = parse_grid(args.sweep_grid)
-        if not grid:
-            raise ValueError("--sweep needs at least one term, such as k=2..6")
-        reports = sweep(grid, [args.theorem])
-    else:
-        instance = {key: getattr(args, key) for key in ("k", "p", "r", "arms")
-                    if getattr(args, key) is not None}
-        if not instance:
-            raise ValueError("provide instance parameters or --sweep")
-        reports = [run_theorem(args.theorem, instance)]
+    else:  # the one-point grid of the instance options given
+        grid = {key: [getattr(args, key)] for key in ("k", "p", "r", "arms")
+                if getattr(args, key) is not None}
+    if not grid:
+        raise ValueError("provide instance parameters or a --sweep term, such as k=2..6")
+    reports = sweep(grid, args.theorem)
 
     _emit(reports_to_csv(reports) if args.csv else reports_to_json(reports))
 
-    counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
-    for report in reports:
-        counts[report.status] += 1
+    counts = Counter(report.status for report in reports)
     print(
         f"# {counts['pass']} pass, {counts['fail']} fail, "
         f"{counts['skip']} skip, {counts['error']} error",
         file=sys.stderr,
     )
-    if any(rep.status == "error" for rep in reports):
+    if counts["error"]:
         convergence = any(
             "ConvergenceError" in f for rep in reports for f in rep.failures
         )

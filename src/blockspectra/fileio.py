@@ -64,7 +64,7 @@ def parse_edge_list(text: str) -> Graph:
                 w = float(parts[2])
             except ValueError:
                 raise ValueError(f"line {line_no}: weight must be a number") from None
-            weights[(min(u, v), max(u, v))] = w
+            weights[(u, v)] = w
     try:
         return build_graph(n, edges, weights)
     except ValueError as exc:

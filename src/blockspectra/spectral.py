@@ -71,9 +71,6 @@ class VertexPerronData:
     maximizers: tuple[int, ...]      # indices into components
     tie_margin: float | None         # relative gap to the best non-maximizer
 
-    def perron_components(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.components[i] for i in self.maximizers)
-
 
 @dataclass(frozen=True)
 class CaseClassification:
@@ -210,7 +207,7 @@ def classify_perron(
         )
     if tied:
         z = tied[0]
-        perron_comps = by_vertex[z].perron_components()
+        perron_comps = tuple(by_vertex[z].components[i] for i in by_vertex[z].maximizers)
         classification = CaseClassification(
             verdict="B",
             zero_vertex=z,

@@ -11,11 +11,11 @@ aborting the rest of the grid.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .spectral import classify_perron, spectral_summary
 IDENTITY_REL_TOL = 1e-8  # of lambda2 for the two lambda2 identities, else of the vector
 
 
-@dataclass(frozen=True, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TheoremReport:
     theorem: str
     instance: dict
@@ -43,10 +43,6 @@ class TheoremReport:
     measurements: dict
     failures: tuple[str, ...]
     elapsed_s: float
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
 
 class _Recorder:
@@ -60,13 +56,23 @@ class _Recorder:
         self.failures: list[str] = []
         self._start = time.perf_counter()
 
-    def require(self, name: str, ok: bool, value, tolerance=None) -> None:
+    def holds(self, name: str, ok: bool) -> None:
         self.assertions += 1
         if not ok:
-            detail = f"{name}: got {value!r}"
-            if tolerance is not None:
-                detail += f" (tolerance {tolerance!r})"
-            self.failures.append(detail)
+            self.failures.append(name)
+
+    def equal(self, name: str, got, expected) -> None:
+        self.assertions += 1
+        if got != expected:
+            self.failures.append(f"{name}: got {got!r}, expected {expected!r}")
+
+    def at_most(self, name: str, value, bound: float) -> float:
+        """Check value <= bound (a NaN fails) and return value as a float."""
+        value = float(value)
+        self.assertions += 1
+        if not value <= bound:
+            self.failures.append(f"{name}: got {value!r} (tolerance {bound!r})")
+        return value
 
     def measure(self, name: str, value) -> None:
         self.measurements[name] = value
@@ -88,7 +94,7 @@ class _Recorder:
         )
 
 
-def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
+def check_twins_lemma(g: Graph) -> TheoremReport:
     """Every eigenspace basis vector at lambda2 is constant on every class of
     true twins.  Requires a block graph with at least one articulation point.
 
@@ -100,7 +106,7 @@ def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
         raise ValueError("twin identity applies to block graphs only")
     if not dec.articulation_points:
         raise ValueError("twin identity requires an articulation point")
-    rec = _Recorder("twins", instance or {"n": g.n})
+    rec = _Recorder("twins", {"n": g.n})
     summary = spectral_summary(g)
     cuts = set(dec.articulation_points)
     non_cut = (tuple(v for v in block if v not in cuts) for block in dec.blocks)
@@ -112,11 +118,8 @@ def check_twins_lemma(g: Graph, instance: dict | None = None) -> TheoremReport:
         for cls in twins:
             entries = [float(y[v - 1]) for v in cls]
             gap = (max(entries) - min(entries)) / scale
-            worst = max(worst, gap)
-            rec.require(
-                f"vector {col} constant on twin class {cls}",
-                gap <= IDENTITY_REL_TOL, gap, IDENTITY_REL_TOL,
-            )
+            worst = max(worst, rec.at_most(f"vector {col} constant on twin class {cls}",
+                                           gap, IDENTITY_REL_TOL))
     rec.measure("lambda2", summary.lambda2)
     rec.measure("multiplicity", summary.multiplicity)
     rec.measure("max_twin_gap_rel", worst)
@@ -133,16 +136,14 @@ def check_path_parity(k: int, p: int) -> TheoremReport:
     classification, by_vertex = classify_perron(g)
     expected = "B" if p % 2 == 1 else "A"
     rec.measure("verdict", classification.verdict)
-    rec.require("verdict matches parity", classification.verdict == expected,
-                classification.verdict, expected)
+    rec.equal("verdict matches parity", classification.verdict, expected)
     margins = [d.tie_margin for d in by_vertex.values() if d.tie_margin is not None]
     if margins:
         rec.measure("min_distinct_margin_rel", min(margins))
     if classification.verdict == "B":
         z = classification.zero_vertex
         rec.measure("zero_vertex", z)
-        rec.require("tied vertex is the chain center", z == center_label(k, p),
-                    z, center_label(k, p))
+        rec.equal("tied vertex is the chain center", z, center_label(k, p))
         data = by_vertex[z]
         best = max(data.values)
         tie_gap = max(abs(best - data.values[i]) / best for i in data.maximizers)
@@ -158,26 +159,25 @@ def check_starlike_equal_arms(r: int, k: int, p: int) -> TheoremReport:
     g = block_starlike(r, k, [p] * r)
     classification, by_vertex = classify_perron(g)
     rec.measure("verdict", classification.verdict)
-    rec.require("verdict is B", classification.verdict == "B", classification.verdict)
+    rec.equal("verdict", classification.verdict, "B")
     if classification.verdict == "B":
         z = classification.zero_vertex
-        rec.require("tied vertex is the hub", z == 1, z)
+        rec.equal("tied vertex is the hub", z, 1)
         m = len(classification.perron_components)
         rec.measure("perron_component_count", m)
-        rec.require("all arms tie", m == r, m, r)
+        rec.equal("all arms tie", m, r)
         rec.measure("lambda2_from_perron", 1.0 / max(by_vertex[z].values))
     summary = spectral_summary(g)
     rec.measure("lambda2", summary.lambda2)
     rec.measure("multiplicity", summary.multiplicity)
-    rec.require("multiplicity is r-1", summary.multiplicity == r - 1,
-                summary.multiplicity, r - 1)
+    rec.equal("multiplicity is r-1", summary.multiplicity, r - 1)
     ctr = center(g)
     rec.measure("center", ",".join(map(str, ctr)))
-    rec.require("center is the hub alone", ctr == (1,), ctr)
+    rec.equal("center is the hub alone", ctr, (1,))
     return rec.report()
 
 
-def check_starlike_case_a(r: int, k: int, arms, instance: dict | None = None) -> TheoremReport:
+def check_starlike_case_a(r: int, k: int, arms) -> TheoremReport:
     """A strictly longest arm no longer than the second plus third plus one
     forces case A, with the longest arm the unique maximizer at the hub.
 
@@ -185,7 +185,7 @@ def check_starlike_case_a(r: int, k: int, arms, instance: dict | None = None) ->
     still computed and recorded for exploration.
     """
     arms = list(arms)
-    rec = _Recorder("starlike-A", instance or {"r": r, "k": k, "arms": ",".join(map(str, arms))})
+    rec = _Recorder("starlike-A", {"r": r, "k": k, "arms": ",".join(map(str, arms))})
     g = block_starlike(r, k, arms)
     classification, by_vertex = classify_perron(g)
     rec.measure("verdict", classification.verdict)
@@ -193,13 +193,11 @@ def check_starlike_case_a(r: int, k: int, arms, instance: dict | None = None) ->
     rec.measure("hypothesis_satisfied", int(hypothesis))
     if not hypothesis:
         return rec.report(status="skip")
-    rec.require("verdict is A", classification.verdict == "A", classification.verdict)
+    rec.equal("verdict", classification.verdict, "A")
     hub = by_vertex[1]
-    rec.require("unique maximizer at hub", len(hub.maximizers) == 1, len(hub.maximizers))
-    best_comp = hub.components[hub.maximizers[0]]
+    rec.equal("maximizers at the hub", len(hub.maximizers), 1)
     # the longest arm is the first, whose vertices are labeled from 2 on
-    rec.require("longest arm is the hub maximizer", 2 in best_comp,
-                f"component of size {len(best_comp)} starting at {best_comp[0]}")
+    rec.holds("longest arm is the hub maximizer", 2 in hub.components[hub.maximizers[0]])
     if hub.tie_margin is not None:
         rec.measure("hub_margin_rel", hub.tie_margin)
     return rec.report()
@@ -224,8 +222,7 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
     rec.measure("lambda2_coalesced", grown.lambda2)
     gap = abs(grown.lambda2 - base.lambda2)
     rec.measure("lambda2_gap", gap)
-    tol = IDENTITY_REL_TOL * base.lambda2
-    rec.require("lambda2 preserved", gap <= tol, gap, tol)
+    rec.at_most("lambda2 preserved", gap, IDENTITY_REL_TOL * base.lambda2)
 
     lap_merged = laplacian(merged)
     worst_residual = 0.0
@@ -233,11 +230,8 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
         extended = np.concatenate([base.fiedler_basis[:, col], np.zeros(k - 1)])
         residual = float(np.linalg.norm(lap_merged @ extended - base.lambda2 * extended))
         residual /= float(np.linalg.norm(extended))
-        worst_residual = max(worst_residual, residual)
-        rec.require(
-            f"zero-extended vector {col} stays an eigenvector",
-            residual <= IDENTITY_REL_TOL, residual, IDENTITY_REL_TOL,
-        )
+        worst_residual = max(worst_residual, rec.at_most(
+            f"zero-extended vector {col} stays an eigenvector", residual, IDENTITY_REL_TOL))
     rec.measure("max_extension_residual_rel", worst_residual)
 
     hub_data = classify_perron(merged)[1][u]
@@ -250,27 +244,24 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
         y = grown.fiedler_basis[:, col]
         scale = float(np.abs(y).max())
         spread = (max(y[v - 1] for v in new_vertices) - min(y[v - 1] for v in new_vertices)) / scale
-        rec.require(f"new-block twins equal in vector {col}",
-                    spread <= IDENTITY_REL_TOL, spread, IDENTITY_REL_TOL)
+        rec.at_most(f"new-block twins equal in vector {col}", spread, IDENTITY_REL_TOL)
         pin = max(
             abs((1.0 - grown.lambda2) * y[v - 1] - y[u - 1]) for v in new_vertices
         ) / scale
-        rec.require(f"new-block pinning identity in vector {col}",
-                    pin <= IDENTITY_REL_TOL, pin, IDENTITY_REL_TOL)
+        rec.at_most(f"new-block pinning identity in vector {col}", pin, IDENTITY_REL_TOL)
         if not new_block_tied:
             flat = max(abs(y[v - 1]) for v in new_vertices) / scale
-            rec.require(f"new-block entries vanish in vector {col}",
-                        flat <= IDENTITY_REL_TOL, flat, IDENTITY_REL_TOL)
+            rec.at_most(f"new-block entries vanish in vector {col}", flat, IDENTITY_REL_TOL)
 
     profile = starlike_profile(merged)
-    rec.require("coalesced graph is starlike", profile is not None, profile)
+    rec.holds("coalesced graph is starlike", profile is not None)
     if profile is not None:
-        rec.require("hub is the coalescence vertex", profile.hub == u, profile.hub, u)
+        rec.equal("hub is the coalescence vertex", profile.hub, u)
         rec.measure("arm_profile", ",".join(map(str, profile.arms)))
     return rec.report()
 
 
-def check_kirkland_identities(g: Graph, instance: dict | None = None) -> TheoremReport:
+def check_kirkland_identities(g: Graph) -> TheoremReport:
     """For a case-B graph: lambda2 is the reciprocal of every tied Perron
     value at z, the eigenspace dimension is one less than the number of tied
     components, eigenvectors vanish on z and on the untied components, and at
@@ -278,7 +269,7 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
     classification, by_vertex = classify_perron(g)
     if classification.verdict != "B":
         raise ValueError("identities apply to case-B graphs; classification returned A")
-    rec = _Recorder("kirkland", instance or {"n": g.n})
+    rec = _Recorder("kirkland", {"n": g.n})
     z = classification.zero_vertex
     data = by_vertex[z]
     m = len(data.maximizers)
@@ -291,12 +282,10 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
     worst_gap = 0.0
     for i in data.maximizers:
         gap = abs(summary.lambda2 - 1.0 / data.values[i])
-        worst_gap = max(worst_gap, gap)
-        rec.require(f"lambda2 equals reciprocal Perron value of component {i}",
-                    gap <= tol, gap, tol)
+        worst_gap = max(worst_gap, rec.at_most(
+            f"lambda2 equals reciprocal Perron value of component {i}", gap, tol))
     rec.measure("max_reciprocal_gap", worst_gap)
-    rec.require("multiplicity is m-1", summary.multiplicity == m - 1,
-                summary.multiplicity, m - 1)
+    rec.equal("multiplicity is m-1", summary.multiplicity, m - 1)
 
     non_perron = [
         comp for i, comp in enumerate(data.components) if i not in data.maximizers
@@ -306,16 +295,13 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
         y = summary.fiedler_basis[:, col]
         scale = float(np.abs(y).max())
         at_z = abs(float(y[z - 1])) / scale
-        worst_entry = max(worst_entry, at_z)
-        rec.require(f"vector {col} vanishes at z", at_z <= IDENTITY_REL_TOL,
-                    at_z, IDENTITY_REL_TOL)
+        worst_entry = max(worst_entry, rec.at_most(
+            f"vector {col} vanishes at z", at_z, IDENTITY_REL_TOL))
         for comp in non_perron:
             flat = max(abs(float(y[v - 1])) for v in comp) / scale
-            worst_entry = max(worst_entry, flat)
-            rec.require(
+            worst_entry = max(worst_entry, rec.at_most(
                 f"vector {col} vanishes on untied component {comp[:3]}...",
-                flat <= IDENTITY_REL_TOL, flat, IDENTITY_REL_TOL,
-            )
+                flat, IDENTITY_REL_TOL))
     rec.measure("max_zero_entry_rel", worst_entry)
 
     others = [v for v in by_vertex if v != z]
@@ -324,7 +310,7 @@ def check_kirkland_identities(g: Graph, instance: dict | None = None) -> Theorem
         # classify_perron refuses a second tie, so each v has one maximizer
         vdata = by_vertex[v]
         best_comp = vdata.components[vdata.maximizers[0]]
-        rec.require(f"maximizer at vertex {v} holds z", z in best_comp, v)
+        rec.holds(f"maximizer at vertex {v} holds z", z in best_comp)
     return rec.report()
 
 
@@ -341,7 +327,7 @@ def _instance_graph(inst) -> Graph:
 
 
 def _run_twins(inst):
-    return check_twins_lemma(_instance_graph(inst), instance=inst)
+    return check_twins_lemma(_instance_graph(inst))
 
 
 def _run_equal_arms(inst):
@@ -353,7 +339,7 @@ def _run_starlike_a(inst):
         arms = parse_arms(inst["arms"])
     else:
         arms = [inst["p1"], inst["p2"], inst["p3"]]
-    return check_starlike_case_a(inst.get("r", len(arms)), inst["k"], arms, instance=inst)
+    return check_starlike_case_a(inst.get("r", len(arms)), inst["k"], arms)
 
 
 def _run_coalescence(inst):
@@ -361,7 +347,7 @@ def _run_coalescence(inst):
 
 
 def _run_kirkland(inst):
-    return check_kirkland_identities(_instance_graph(inst), instance=inst)
+    return check_kirkland_identities(_instance_graph(inst))
 
 
 THEOREM_RUNNERS = {
@@ -383,12 +369,14 @@ def _require_theorem(theorem: str) -> None:
 
 def run_theorem(theorem: str, instance: dict) -> TheoremReport:
     """Run one checker on one instance, translating precondition mismatches
-    into skip reports and unexpected failures into error reports.  A
-    parameter the checker needs but the instance lacks raises ValueError."""
+    into skip reports and unexpected failures into error reports.  Every
+    report carries `instance` as given, keys the checker does not read
+    included.  A parameter the checker needs but the instance lacks raises
+    ValueError."""
     _require_theorem(theorem)
     start = time.perf_counter()
     try:
-        return THEOREM_RUNNERS[theorem](instance)
+        return dataclasses.replace(THEOREM_RUNNERS[theorem](instance), instance=dict(instance))
     except KeyError as exc:
         # raised from the handler, so the ValueError clause below, which
         # sees only the try body, cannot turn it into a skip
@@ -405,18 +393,13 @@ def run_theorem(theorem: str, instance: dict) -> TheoremReport:
     )
 
 
-def sweep(grid: dict, theorems) -> list[TheoremReport]:
-    """Run each named checker on every point of the cartesian grid, in grid
-    order, collecting one report per (theorem, instance)."""
-    keys = list(grid.keys())
-    combos = list(itertools.product(*(grid[key] for key in keys))) if keys else []
-    for theorem in theorems:
-        _require_theorem(theorem)
-    return [
-        run_theorem(theorem, dict(zip(keys, combo)))
-        for theorem in theorems
-        for combo in combos
-    ]
+def sweep(grid: dict, theorem: str) -> list[TheoremReport]:
+    """Run one checker on every point of the cartesian grid, in grid order,
+    collecting one report per point; the empty grid has no points."""
+    _require_theorem(theorem)
+    keys = list(grid)
+    combos = itertools.product(*grid.values()) if keys else ()
+    return [run_theorem(theorem, dict(zip(keys, combo))) for combo in combos]
 
 
 def parse_grid(text: str) -> dict:
@@ -462,19 +445,9 @@ def parse_arms(arms) -> list[int]:
 
 
 def reports_to_json(reports) -> str:
-    payload = [
-        {
-            "theorem": r.theorem,
-            "instance": r.instance,
-            "status": r.status,
-            "assertions": r.assertions,
-            "measurements": r.measurements,
-            "failures": list(r.failures),
-            "elapsed_s": r.elapsed_s,
-        }
-        for r in reports
-    ]
-    return format_json(payload)
+    """Each report's fields as a JSON object; `vars` reads them without the
+    deep copy of every measurement that `dataclasses.asdict` makes."""
+    return format_json([vars(r) for r in reports])
 
 
 def reports_to_csv(reports) -> str:

@@ -108,12 +108,12 @@ def test_c04_twin_constancy_suite():
     evaluated = 0
     vacuous = 0
     reports = [
-        (f"chain (k={k},p={p})", check_twins_lemma(block_path(k, p), instance={"k": k, "p": p}))
+        (f"chain (k={k},p={p})", check_twins_lemma(block_path(k, p)))
         for k, p in PARITY_GRID
     ]
     reports += [
         (f"starlike (k={k},arms={arms})",
-         check_twins_lemma(block_starlike(3, k, list(arms)), instance={"k": k, "arms": arms}))
+         check_twins_lemma(block_starlike(3, k, list(arms))))
         for k, arms in CASE_A_GRID
     ]
     for label, report in reports:
@@ -121,7 +121,7 @@ def test_c04_twin_constancy_suite():
             vacuous += 1  # k = 2 chains are twin-free; nothing to evaluate
             continue
         evaluated += 1
-        if not report.passed:
+        if report.status != "pass":
             failures.append(f"{label}: {report.failures[:1]}")
     if evaluated == 0:
         failures.append("no instance had a twin class to evaluate")
@@ -135,16 +135,14 @@ def test_c05_perron_component_identities():
     for k, p in PARITY_GRID:
         if p % 2 == 0:
             continue
-        report = check_kirkland_identities(block_path(k, p), instance={"k": k, "p": p})
+        report = check_kirkland_identities(block_path(k, p))
         count += 1
-        if not report.passed:
+        if report.status != "pass":
             failures.append(f"chain (k={k},p={p}): {report.failures[:1]}")
     for r, k, p in EQUAL_ARM_GRID:
-        report = check_kirkland_identities(
-            block_starlike(r, k, [p] * r), instance={"r": r, "k": k, "p": p}
-        )
+        report = check_kirkland_identities(block_starlike(r, k, [p] * r))
         count += 1
-        if not report.passed:
+        if report.status != "pass":
             failures.append(f"starlike (r={r},k={k},p={p}): {report.failures[:1]}")
     _conclude(5, "reciprocal Perron value, multiplicity, and zero-support identities",
               failures, f"({count} case-B instances)")
@@ -164,7 +162,7 @@ def test_c07_equal_arm_grid():
     failures = []
     for r, k, p in EQUAL_ARM_GRID:
         report = check_starlike_equal_arms(r, k, p)
-        if not report.passed:
+        if report.status != "pass":
             failures.append(f"(r={r},k={k},p={p}): {report.failures[:1]}")
     _conclude(7, "equal arms give case B at the hub with multiplicity r-1",
               failures, f"({len(EQUAL_ARM_GRID)} instances)")

@@ -584,7 +584,7 @@ class TestVerify:
 
         def broken(k, p):
             rec = verify_mod._Recorder("path-parity", {"k": k, "p": p})
-            rec.require("forced failure", False, 0.0, 1.0)
+            rec.holds("forced failure", False)
             return rec.report()
 
         monkeypatch.setattr(verify_mod, "check_path_parity", broken)

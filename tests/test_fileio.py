@@ -41,6 +41,13 @@ class TestEdgeList:
     def test_round_trip_generated(self, g):
         assert parse_edge_list(format_edge_list(g)) == g
 
+    def test_weight_on_a_reversed_pair(self):
+        # build_graph sorts each weight's key, as it sorts each edge
+        g = build_graph(3, [(1, 2), (2, 3)], {(1, 2): 2.5})
+        assert parse_edge_list("3 2\n2 1 2.5\n3 2\n") == g
+        with pytest.raises(ValueError, match=r"^invalid graph: weight -1\.0 on edge \(1,2\) is"):
+            parse_edge_list("2 1\n2 1 -1\n")
+
     def test_blank_lines_tolerated(self):
         assert parse_edge_list("\n2 1\n\n1 2\n\n").m == 1
 

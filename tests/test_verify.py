@@ -102,6 +102,12 @@ class TestParityChecker:
         with pytest.raises(ValueError, match="p >= 1"):
             check_path_parity(4, 0)
 
+    def test_failure_names_what_it_got_and_expected(self, monkeypatch):
+        monkeypatch.setattr(verify, "center_label", lambda k, p: 0)
+        report = check_path_parity(4, 3)
+        assert report.status == "fail"
+        assert report.failures == ("tied vertex is the chain center: got 7, expected 0",)
+
 
 class TestEqualArmsChecker:
     def test_clique_arms(self):
@@ -201,6 +207,18 @@ class TestCoalescenceChecker:
         with pytest.raises(ValueError, match="odd"):
             check_coalescence(4, 2)
 
+    def test_per_vector_failures_print_plain_floats(self, monkeypatch):
+        # no value lies below a negative tolerance, so every bound fails
+        monkeypatch.setattr(verify, "IDENTITY_REL_TOL", -1.0)
+        report = check_coalescence(4, 3)
+        per_vector = [f for f in report.failures if f.startswith("new-block")]
+        assert [f.split(" in vector")[0] for f in per_vector] == [
+            "new-block twins equal", "new-block pinning identity", "new-block entries vanish",
+        ]
+        for failure in per_vector:
+            got = failure.split(": got ")[1].removesuffix(" (tolerance -1.0)")
+            assert repr(float(got)) == got  # not np.float64(...)
+
 
 class TestKirklandChecker:
     def test_odd_chain(self):
@@ -264,37 +282,38 @@ class TestKirklandChecker:
 
 class TestSweep:
     def test_parity_grid(self):
-        reports = sweep({"k": range(2, 7), "p": range(1, 9)}, ["path-parity"])
+        reports = sweep({"k": range(2, 7), "p": range(1, 9)}, "path-parity")
         assert len(reports) == 40
         assert all(r.status == "pass" for r in reports)
 
     def test_empty_grid(self):
-        assert sweep({}, ["path-parity"]) == []
+        assert sweep({}, "path-parity") == []
 
     def test_unknown_theorem(self):
-        with pytest.raises(ValueError, match="unknown theorem"):
-            sweep({"k": [2]}, ["no-such-theorem"])
+        for grid in ({"k": [2]}, {}):
+            with pytest.raises(ValueError, match="unknown theorem"):
+                sweep(grid, "no-such-theorem")
 
     def test_coalescence_grid_skips_even(self):
-        reports = sweep({"k": [3], "p": range(1, 5)}, ["coalescence"])
+        reports = sweep({"k": [3], "p": range(1, 5)}, "coalescence")
         statuses = [r.status for r in reports]
         assert statuses == ["pass", "skip", "pass", "skip"]
 
     def test_determinism(self):
         grid = {"k": [2, 3], "p": [1, 2]}
-        first = sweep(grid, ["path-parity", "kirkland"])
-        second = sweep(grid, ["path-parity", "kirkland"])
-        assert [r.status for r in first] == [r.status for r in second]
-        assert [r.instance for r in first] == [r.instance for r in second]
-        for a, b in zip(first, second):
-            assert a.measurements == b.measurements  # bit-identical reruns
+        for theorem in ("path-parity", "kirkland"):
+            first, second = sweep(grid, theorem), sweep(grid, theorem)
+            assert [r.status for r in first] == [r.status for r in second]
+            assert [r.instance for r in first] == [r.instance for r in second]
+            for a, b in zip(first, second):
+                assert a.measurements == b.measurements  # bit-identical reruns
 
     def test_kirkland_grid_skips_case_a(self):
-        reports = sweep({"k": [4], "p": [2, 3]}, ["kirkland"])
+        reports = sweep({"k": [4], "p": [2, 3]}, "kirkland")
         assert [r.status for r in reports] == ["skip", "pass"]
 
     def test_desk_scale_guard(self):
-        reports = sweep({"k": [100], "p": [5]}, ["path-parity"])
+        reports = sweep({"k": [100], "p": [5]}, "path-parity")
         assert reports[0].status == "skip"
         assert "desk-scale" in reports[0].failures[0]
 
@@ -304,6 +323,21 @@ class TestSweep:
         assert report.status == "skip"
         assert report.failures == ("graph has 2999 vertices, above the desk-scale cap 400",)
         assert report.elapsed_s < 1.0
+
+    @pytest.mark.parametrize("theorem, instance", [
+        ("twins", {"k": 4, "p": 1, "r": 2}),
+        ("path-parity", {"k": 2, "p": 1, "r": 2}),
+        ("equal-arms", {"r": 3, "k": 3, "p": 1, "arms": "1,1,1"}),
+        ("starlike-A", {"k": 3, "p1": 2, "p2": 1, "p3": 1, "p": 4}),
+        ("coalescence", {"k": 3, "p": 1, "r": 2}),
+        ("kirkland", {"k": 3, "p": 3, "r": 2}),
+    ])
+    def test_report_echoes_keys_the_theorem_does_not_read(self, theorem, instance):
+        # each instance holds one key its theorem ignores; the reports of
+        # two instances that differ only there must still tell them apart
+        report = run_theorem(theorem, instance)
+        assert report.status == "pass"
+        assert report.instance == instance
 
     def test_run_theorem_missing_parameter(self):
         with pytest.raises(ValueError, match="^theorem 'path-parity' needs parameter 'p'$"):
@@ -362,7 +396,7 @@ class TestGridParsing:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        reports = sweep({"k": [2, 3], "p": [1]}, ["path-parity"])
+        reports = sweep({"k": [2, 3], "p": [1]}, "path-parity")
         data = json.loads(reports_to_json(reports))
         assert len(data) == 2
         assert data[0]["theorem"] == "path-parity"
@@ -371,7 +405,7 @@ class TestReportSerialization:
         assert "measurements" in data[0]
 
     def test_csv_shape(self):
-        reports = sweep({"k": [2], "p": [1, 2, 3]}, ["path-parity"])
+        reports = sweep({"k": [2], "p": [1, 2, 3]}, "path-parity")
         rows = list(csv.reader(io.StringIO(reports_to_csv(reports))))
         assert rows[0] == ["theorem", "instance", "status", "assertions",
                            "elapsed_s", "measurements", "failures"]
