@@ -8,11 +8,13 @@ dominant-eigenpair iteration are implemented here.
 Everything targets small dense matrices (desk scale: graph.build_graph
 accepts at most DESK_SCALE_LIMIT = 400 vertices).
 
-Both classifiers read `laplacian`; past it they draw on disjoint parts of
-this module.  Only the structural route calls `eig_sym`.  The Perron route
-takes resistances from `grounded_inverse`, once per distinct block, and
-reads them in `perron_pairs`: one batched power iteration per request, over
-every component at once; no bottleneck matrix is formed.
+The Perron route reads `laplacian`; the structural route assembles the twin
+quotient of the Laplacian itself (`spectral.spectral_summary`).  The two draw
+on disjoint parts of this module: only the structural route calls
+`eig_sym`.  The Perron route takes resistances from `grounded_inverse`, once
+per distinct block, and reads them in `perron_pairs`: one batched power
+iteration per request, over every component at once; no bottleneck matrix
+is formed.
 
 Conventions:
 * matrices are exactly symmetric float64 arrays; `laplacian` constructs them
@@ -76,7 +78,9 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
     off-diagonal entry of T is deflated once it is at most QL_DEFLATION_TOL
     times max |d_i| + |e_i| over the tridiagonal's diagonal d and
     off-diagonal e.  Raises ConvergenceError if one eigenvalue takes more
-    than QL_MAX_ITER QL steps.
+    than QL_MAX_ITER QL steps.  A column is skipped only when every entry
+    below its subdiagonal is exactly 0, and `_norm` keeps its norm from
+    underflowing to 0 or overflowing.
 
     `select(values)` maps the ascending eigenvalues to the indices whose
     vectors are wanted; each wanted vector of T comes from inverse iteration
@@ -96,12 +100,12 @@ def eig_sym(m: np.ndarray, select=None) -> EigenDecomposition:
     for k in range(n - 2):
         x = a[k + 1:, k]
         tail = float(x[1:] @ x[1:])
-        if tail == 0.0:
+        if tail == 0.0 and not x[1:].any():
             continue  # column k is already tridiagonal
-        alpha = -math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
+        alpha = -math.copysign(_norm(x, x[0] * x[0] + tail), x[0])
         v = x.copy()
         v[0] -= alpha
-        v /= math.sqrt(v @ v)
+        v /= _norm(v)
         a[k + 1, k] = alpha
         # H a H with H = I - 2 v vᵀ, as a - 2 (v wᵀ + w vᵀ) for w = p - (vᵀp) v, p = a v
         sub = a[k + 1:, k + 1:]
@@ -173,9 +177,11 @@ def _tridiagonal_vectors(diag, off, lams):
     elimination with partial pivoting in O(n) (LAPACK dgttrf/dgttrs), with an
     exactly zero pivot taken as 2**-52 ‖T‖₁; it then orthogonalizes y against
     the vectors already found (classical Gram-Schmidt, twice) and normalizes
-    it.  That is what separates the vectors of a multiple eigenvalue: an
-    unreduced tridiagonal has simple eigenvalues only, so a multiple one
-    comes with a split of T.  The shift σ is λ, except that each repeat of a
+    it.  `_norm` takes the norm of each iterate and each residual, so that a
+    norm past 1e154 cannot overflow and leave a zero "unit" vector behind,
+    and one below 1e-154 cannot vanish.  Orthogonalizing is what separates
+    the vectors of a multiple eigenvalue: an unreduced tridiagonal has
+    simple eigenvalues only, so a multiple one comes with a split of T.  The shift σ is λ, except that each repeat of a
     value moves it 10 · 2**-52 ‖T‖₁ further (as LAPACK dstein does): with one
     shared shift, rounding can make one direction of the cluster grow far
     faster than the others, and Gram-Schmidt then leaves only noise.  Vector
@@ -235,11 +241,11 @@ def _tridiagonal_vectors(diag, off, lams):
             done = found[:, :j]
             x -= done @ (x @ done)
             x -= done @ (x @ done)  # a second pass undoes the cancellation of the first
-            x /= math.sqrt(x @ x)
+            x /= _norm(x)
             r = (diag - lam) * x
             r[:-1] += off * x[1:]
             r[1:] += off * x[:-1]
-            small = math.sqrt(r @ r) <= 8.0 * n * tiny
+            small = _norm(r) <= 8.0 * n * tiny
             if small and passed:
                 break
             passed = small
@@ -249,6 +255,21 @@ def _tridiagonal_vectors(diag, off, lams):
             )
         found[:, j] = x
     return found
+
+
+def _norm(x: np.ndarray, squares: float | None = None) -> float:
+    """The 2-norm of x, from its sum of squares (`squares`, or x @ x) while
+    that lies in [2**-900, 2**900]: there a square lost below the normal
+    range is far under its rounding, and none overflows.  Outside it the sum
+    is taken again, of x scaled by the power of two at its largest entry,
+    which is exact (LAPACK dlarfg and dstein rescale likewise)."""
+    if squares is None:
+        squares = float(x @ x)
+    if 2.0 ** -900 <= squares <= 2.0 ** 900:
+        return math.sqrt(squares)
+    e = math.frexp(float(np.abs(x).max()))[1]
+    y = np.ldexp(x, -e)
+    return math.ldexp(math.sqrt(float(y @ y)), e)
 
 
 def grounded_inverse(cond: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ with respect to any Fiedler vector:
   separates all sign changes.
 
 `classify_structural` tests those sign conditions directly on each column of
-the Fiedler basis it computes.  `classify_perron` decides the same dichotomy
+the Fiedler basis `spectral_summary` computes.  Twins split the Laplacian
+exactly, so `eig_sym` runs on the twin quotient VᵀLV alone, assembled from
+the edge list, and the basis is lifted back.  `classify_perron` decides the same dichotomy
 through an independent route: for each cut vertex it compares the dominant
 eigenvalues of the inverses of the component submatrices (their "Perron
 values"); two or more tied maximizers at some vertex means case B at that
@@ -30,12 +32,14 @@ grounded Laplacian of each distinct block once, by subtraction-free GTH
 elimination (`linalg.grounded_inverse`).  Then one batched power iteration
 per request (`linalg.perron_pairs`) finds the Perron value of every (cut
 vertex, component) item from R directly; no bottleneck matrix is formed.
-Both routes read `laplacian(g)`, but the structural route alone calls the
-eigensolver, so the two classifiers share no numerical machinery, which is
-the point: each one cross-checks the other.
+The Perron route reads `laplacian(g)` and the structural route its twin
+quotient; the structural route alone calls the eigensolver, so the two
+classifiers share no numerical machinery, which is the point: each one
+cross-checks the other.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,20 +94,138 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     multiplicity.  A disconnected graph is flagged rather than rejected;
     `connected` comes from the graph itself (`graph.is_connected`), not from
     lambda2, which rounding can make tiny on a connected graph.
+
+    Twins split L exactly (equitable partitions: Godsil & Royle, Algebraic
+    Graph Theory, 9.3).  Let V hold the indicators of the twin classes
+    (`_twin_classes`), each scaled by 1/sqrt(|T|).  The spectrum of L is
+    that of the quotient VᵀLV (`_twin_quotient`) together with each class's
+    twin eigenvalue, |T| - 1 times; the eigenvectors of a twin eigenvalue
+    are the differences across its class, and every other eigenvector is V
+    times one of the quotient's.  So `eig_sym` runs on the quotient alone,
+    and the cluster is chosen on the merged spectrum.  Each selected
+    quotient vector is lifted by V, a twin eigenvalue in the cluster
+    contributes Helmert vectors of its class (1, ..., 1, -r, 0, ...) /
+    sqrt(r (r + 1)), and the lifted basis follows `eig_sym`'s sign rule: the
+    largest-magnitude entry of each vector is positive, ties going to the
+    lowest index.  Without twins V is the identity and this is `eig_sym` on
+    L itself, bit for bit.
     """
     if g.n == 1:
         return SpectralSummary(
             lambda2=0.0, multiplicity=0, fiedler_basis=np.zeros((1, 0)),
             spectrum=np.zeros(1), connected=True,
         )
-    dec = eig_sym(laplacian(g), select=_fiedler_cluster)
-    return SpectralSummary(
-        lambda2=float(dec.values[1]),
-        multiplicity=dec.vectors.shape[1],
-        fiedler_basis=dec.vectors,
-        spectrum=dec.values,
-        connected=is_connected(g),
+    connected = is_connected(g)
+    if connected and g.decomposition.all_cliques:
+        label, twin_value = _twin_classes(g)
+    else:
+        label, twin_value = np.arange(g.n), np.zeros(g.n)
+    sizes = np.bincount(label)
+    c = len(sizes)
+    twins = np.flatnonzero(sizes > 1)
+    # the twin eigenvalues, |T| - 1 copies each, and the class of each copy
+    copies = np.repeat(twin_value[twins], sizes[twins] - 1)
+    copy_class = np.repeat(twins, sizes[twins] - 1)
+    dec = eig_sym(
+        _twin_quotient(g, label, sizes),
+        select=lambda values: [i for i in _merged_cluster(values, copies)[1] if i < c],
     )
+    spectrum, chosen = _merged_cluster(dec.values, copies)
+    basis = np.zeros((g.n, len(chosen)))
+    lifted = [col for col, i in enumerate(chosen) if i < c]
+    basis[:, lifted] = dec.vectors[label] / np.sqrt(sizes[label])[:, None]
+    by_class = np.argsort(label, kind="stable")  # each class's vertices in a run, ascending
+    starts = np.cumsum(sizes) - sizes
+    helmert = {}  # class -> Helmert vectors used so far
+    for col, i in enumerate(chosen):
+        if i >= c:
+            t = copy_class[i - c]
+            r = helmert[t] = helmert.get(t, 0) + 1
+            members = by_class[starts[t]:starts[t] + r + 1]
+            basis[members[:r], col] = 1.0 / math.sqrt(r * (r + 1))
+            basis[members[r], col] = -r / math.sqrt(r * (r + 1))
+    lead = np.abs(basis).argmax(axis=0)
+    basis[:, basis[lead, np.arange(len(chosen))] < 0] *= -1.0
+    return SpectralSummary(
+        lambda2=float(spectrum[1]),
+        multiplicity=len(chosen),
+        fiedler_basis=basis,
+        spectrum=spectrum,
+        connected=connected,
+    )
+
+
+def _merged_cluster(values: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The ascending merge of the quotient's eigenvalues `values` with the
+    twin eigenvalue `copies`, and the lambda2 cluster (`_fiedler_cluster`)
+    of the merge, each member given by its index into values, or past them
+    into copies.  Ties keep that order."""
+    every = np.concatenate([values, copies])
+    order = np.argsort(every, kind="stable")
+    spectrum = every[order]
+    return spectrum, order[_fiedler_cluster(spectrum)].tolist()
+
+
+def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The twin class of each vertex (index v - 1), classes numbered by their
+    smallest vertex, and each class's twin eigenvalue (0 for a singleton),
+    for a connected block graph g.
+
+    Weights are compared exactly:
+    * true twins are the non-cut vertices of one block whose weights to each
+      cut vertex of the block, and among themselves, are all equal; a block
+      with one unequal weight forms no class.  Their twin eigenvalue is
+      d_u + w_T, with d_u the degree and w_T the weight between two of them;
+    * false twins are leaves hanging from one cut vertex by one weight w,
+      their twin eigenvalue.
+    """
+    dec = g.decomposition
+    weight = dict(zip(g.edges, g.weights))
+    cuts = set(dec.articulation_points)
+    rep = np.arange(g.n)  # the smallest vertex of each vertex's class, 0-based
+    value = np.zeros(g.n)  # the twin eigenvalue of each class, at rep
+    for i, block in enumerate(dec.blocks):
+        twins = [v for v in block if v not in cuts]
+        mutual = {weight[e] for e in itertools.combinations(twins, 2)}
+        to_cuts = {tuple(weight[min(t, x), max(t, x)] for x in dec.articulations_in_block(i))
+                   for t in twins}
+        if len(mutual) == 1 and len(to_cuts) == 1:
+            (w_t,), (row,) = mutual, to_cuts
+            rep[np.array(twins) - 1] = twins[0] - 1
+            value[twins[0] - 1] = sum(row) + len(twins) * w_t
+    hanging: dict[tuple[int, float], list[int]] = {}  # (cut vertex, weight) -> leaves
+    for v, (a, *more) in g.adjacency.items():
+        if not more and a in cuts:
+            hanging.setdefault((a, weight[min(a, v), max(a, v)]), []).append(v - 1)
+    for (_, w), leaves in hanging.items():
+        if len(leaves) > 1:
+            rep[leaves] = leaves[0]
+            value[leaves[0]] = w
+    reps, label = np.unique(rep, return_inverse=True)
+    return label, value[reps]
+
+
+def _twin_quotient(g: Graph, label: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """VᵀLV for the class of each vertex `label` and the class sizes, from
+    the edge list, exactly symmetric.
+
+    Entry (S, T), S != T, is minus the weight between the classes over
+    sqrt(|S| |T|), and entry (T, T) the weight leaving T over |T|; an edge
+    inside a class adds nothing.  With singleton classes this is
+    `laplacian(g)` bit for bit: the same entries, and the same row sums.
+    """
+    c = len(sizes)
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1
+    a, b = label[ends[0::2]], label[ends[1::2]]
+    cross = a != b
+    lo, hi = np.minimum(a, b)[cross], np.maximum(a, b)[cross]
+    upper = np.bincount(lo * c + hi, np.array(g.weights)[cross], c * c)
+    upper = upper.astype(float, copy=False).reshape(c, c)  # no weights give integers
+    q = upper + upper.T  # the weight between each pair of classes
+    diagonal = q.sum(axis=1) / sizes
+    q /= -np.sqrt(np.outer(sizes, sizes))  # a symmetric divisor keeps q symmetric
+    np.fill_diagonal(q, diagonal)
+    return q
 
 
 def _fiedler_cluster(spectrum: np.ndarray) -> list[int]:

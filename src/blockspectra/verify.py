@@ -28,8 +28,8 @@ from .generators import (
     complete_graph,
 )
 from .graph import Graph, center, coalesce
-from .linalg import laplacian
-from .spectral import classify_perron, spectral_summary
+from .linalg import eig_sym, laplacian
+from .spectral import _fiedler_cluster, classify_perron, spectral_summary
 
 IDENTITY_REL_TOL = 1e-8  # of lambda2 for the two lambda2 identities, else of the vector
 
@@ -100,28 +100,30 @@ def check_twins_lemma(g: Graph) -> TheoremReport:
 
     In a block graph the true-twin classes are the non-cut vertices of each
     block: a cut vertex's closed neighborhood reaches beyond every block it
-    lies in."""
+    lies in.  The basis comes from `eig_sym` on the whole Laplacian, not
+    from `spectral_summary`, whose twin quotient makes every vector it
+    lifts constant on those classes by construction."""
     dec = g.decomposition
     if not dec.all_cliques:
         raise ValueError("twin identity applies to block graphs only")
     if not dec.articulation_points:
         raise ValueError("twin identity requires an articulation point")
     rec = _Recorder("twins", {"n": g.n})
-    summary = spectral_summary(g)
+    basis = eig_sym(laplacian(g), select=_fiedler_cluster)
     cuts = set(dec.articulation_points)
     non_cut = (tuple(v for v in block if v not in cuts) for block in dec.blocks)
     twins = sorted(cls for cls in non_cut if len(cls) >= 2)
     worst = 0.0
-    for col in range(summary.fiedler_basis.shape[1]):
-        y = summary.fiedler_basis[:, col]
+    for col in range(basis.vectors.shape[1]):
+        y = basis.vectors[:, col]
         scale = float(np.abs(y).max())
         for cls in twins:
             entries = [float(y[v - 1]) for v in cls]
             gap = (max(entries) - min(entries)) / scale
             worst = max(worst, rec.at_most(f"vector {col} constant on twin class {cls}",
                                            gap, IDENTITY_REL_TOL))
-    rec.measure("lambda2", summary.lambda2)
-    rec.measure("multiplicity", summary.multiplicity)
+    rec.measure("lambda2", float(basis.values[1]))
+    rec.measure("multiplicity", basis.vectors.shape[1])
     rec.measure("max_twin_gap_rel", worst)
     return rec.report()
 
@@ -244,6 +246,8 @@ def check_coalescence(k: int, p: int) -> TheoremReport:
         y = grown.fiedler_basis[:, col]
         scale = float(np.abs(y).max())
         spread = (max(y[v - 1] for v in new_vertices) - min(y[v - 1] for v in new_vertices)) / scale
+        # holds by construction: the new block's vertices are twins, and
+        # spectral_summary lifts every vector of this cluster from its quotient
         rec.at_most(f"new-block twins equal in vector {col}", spread, IDENTITY_REL_TOL)
         pin = max(
             abs((1.0 - grown.lambda2) * y[v - 1] - y[u - 1]) for v in new_vertices

@@ -241,6 +241,28 @@ def test_tiny_uniform_weights_fail_or_answer_right(capsys, monkeypatch, w, argv)
     assert verdicts and set(verdicts) == {("B", 7)}
 
 
+@pytest.mark.parametrize("w", [1e-140, 1e-160, 1e-200, 1e-250, 1e300])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["classify", "--method", "structural"],
+], ids=["spectrum", "structural"])
+def test_extreme_uniform_weights_answer_right_through_the_eigensolver(capsys, monkeypatch, w, argv):
+    # the eigensolver takes every norm of a vector scaled by a power of two,
+    # so no sum of squares underflows or overflows: the structural route
+    # answers case B at the chain's center, 7, with lambda2 scaled by w (the
+    # Perron route still stops at non-convergence, ROADMAP J)
+    monkeypatch.setattr("sys.stdin", io.StringIO(_uniform(block_path(4, 3), w)))
+    code, out, err = run(capsys, argv[0], "-", *argv[1:])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if argv[0] == "spectrum":
+        assert doc["spectrum"]["lambda2"] == pytest.approx(0.3293784923643793 * w, rel=1e-9)
+        return
+    verdicts = [(r["verdict"], r["zero_vertex"])
+                for r in doc["classification"]["structural"]["per_vector"]]
+    assert verdicts == [("B", 7)]
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "path", "-n", "3", "--out", "x"],
     ["spectrum", "-", "--out", "x"],

@@ -178,6 +178,17 @@ class TestEigSym:
         with pytest.raises(ValueError, match="square"):
             eig_sym(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("w", [1e-160, 1e-200, 1e-250, 1e160, 1e300])
+    def test_column_norms_neither_underflow_nor_overflow(self, w):
+        # a Householder column's squares summed to 0 below a uniform weight of
+        # about 1e-160, and the column was taken as reduced (lambda2 of this
+        # chain came out 1.499e-200 at w = 1e-200, not 3.294e-201); above
+        # about 1e154 they summed to inf
+        lap = laplacian(block_path(4, 3))
+        reference = np.linalg.eigvalsh(lap)
+        values = eig_sym(lap * w, select=lambda values: []).values
+        assert np.abs(values / w - reference).max() <= 1e-14 * reference[-1]
+
     def test_ql_iteration_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(linalg, "QL_MAX_ITER", 0)
         with pytest.raises(ConvergenceError):
@@ -244,6 +255,23 @@ class TestEigSymSelect:
         residual = lap @ dec.vectors - dec.values[1] * dec.vectors
         assert np.abs(residual).max() <= 1e-14 * np.abs(lap).sum(axis=0).max()
         assert np.abs(dec.vectors.T @ dec.vectors - np.eye(3)).max() <= 1e-13
+
+    def test_iterate_norms_cannot_overflow(self):
+        # the twin quotient of block_path(4, 3) at uniform weight 1e-140, with
+        # classes {1,2,3} {4} {5,6} {7} {8,9} {10} {11,12,13}: an iterate of
+        # inverse iteration grew past 1e154, its squares summed to inf, and
+        # normalizing it gave the zero vector, whose residual passed
+        g = block_path(4, 3)
+        label = np.array([0, 0, 0, 1, 2, 2, 3, 4, 4, 5, 6, 6, 6])
+        v = np.zeros((13, 7))
+        v[np.arange(13), label] = 1.0 / np.sqrt(np.bincount(label)[label])
+        q = v.T @ (laplacian(g) * 1e-140) @ v
+        q = np.triu(q) + np.triu(q, 1).T
+        dec = eig_sym(q, select=lambda values: [1])
+        x = dec.vectors[:, 0]
+        assert abs(x @ x - 1.0) <= 1e-15
+        assert np.abs(q @ x - dec.values[1] * x).max() <= 1e-14 * dec.values[-1]
+        assert dec.values[1] == pytest.approx(0.3293784923643793e-140, rel=1e-14)
 
     def test_inverse_iteration_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(linalg, "INVERSE_MAX_ITER", 0)

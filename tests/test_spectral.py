@@ -22,6 +22,7 @@ from blockspectra import (
     classify_structural,
     coalesce,
     complete_graph,
+    eig_sym,
     format_edge_list,
     laplacian,
     path_graph,
@@ -579,3 +580,131 @@ class TestRouteIsolation:
         assert main([a.format(graph=path) for a in argv]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+
+def _quotient_matches_unreduced(g):
+    """spectral_summary(g) against eig_sym on all of L, with the same lambda2
+    cluster: the same sign-test outcome for each vector, and the same
+    spectrum and eigenspace up to rounding."""
+    s = spectral_summary(g)
+    dec = eig_sym(laplacian(g), select=spectral._fiedler_cluster)
+
+    def outcomes(basis):
+        return [spectral._classify_vector(g, g.decomposition, y, spectral.ZERO_REL_TOL)
+                for y in basis.T]
+
+    assert outcomes(s.fiedler_basis) == outcomes(dec.vectors)
+    assert s.multiplicity == dec.vectors.shape[1]
+    scale = float(dec.values[-1])
+    assert abs(s.lambda2 - dec.values[1]) <= 1e-14 * scale
+    assert np.abs(s.spectrum - dec.values).max() <= 1e-14 * scale
+    projector = s.fiedler_basis @ s.fiedler_basis.T
+    assert np.abs(projector - dec.vectors @ dec.vectors.T).max() <= 1e-12
+
+
+class TestTwinQuotient:
+    """`spectral_summary` solves the twin quotient VᵀLV and merges in the twin
+    eigenvalues; `eig_sym` on all of L is the reference."""
+
+    @pytest.fixture
+    def eig_rows(self, monkeypatch):
+        rows = []
+
+        def counted(m, *args, _original=spectral.eig_sym, **kwargs):
+            rows.append(len(m))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eig_sym", counted)
+        return rows
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_parity_grid(self, k):
+        for p in range(1, 42):
+            _quotient_matches_unreduced(block_path(k, p))
+
+    def test_equal_arms(self):
+        for r, k, p in itertools.product(range(3, 7), range(2, 5), range(1, 4)):
+            _quotient_matches_unreduced(block_starlike(r, k, [p] * r))
+
+    def test_unit_weight_clique_trees(self):
+        rng = random.Random(1000)
+        for _ in range(300):
+            _quotient_matches_unreduced(random_weighted_clique_tree(rng, 0))
+
+    def test_twin_free_graph_is_solved_bit_for_bit(self, eig_rows):
+        # random weights leave no two twins equal: V is the identity, and the
+        # quotient is laplacian(g) itself
+        rng = random.Random(1004)
+        for _ in range(20):
+            g = random_weighted_clique_tree(rng, 4)
+            s = spectral_summary(g)
+            assert eig_rows.pop() == g.n
+            dec = eig_sym(laplacian(g), select=spectral._fiedler_cluster)
+            assert np.array_equal(s.spectrum, dec.values)
+            assert np.array_equal(s.fiedler_basis, dec.vectors)
+
+    def test_chain_quotient_size(self, eig_rows):
+        # classes {1,2,3} {4} {5,6} {7} {8,9} {10} {11,12,13}
+        s = spectral_summary(block_path(4, 3))
+        assert eig_rows == [7]
+        assert round(s.lambda2, 5) == 0.32938
+        assert list(s.spectrum).count(4.0) == 6  # (3 - 1) + (2 - 1) * 2 + (3 - 1) twin copies
+
+    @pytest.mark.parametrize("edge, rows", [
+        ((1, 2), 9),  # between two twins of the first block
+        ((1, 4), 9),  # from a twin to the block's cut vertex
+        ((4, 5), 8),  # from the cut vertex 4 to a twin of the second block
+        ((4, 7), 7),  # between two cut vertices: every class stands
+    ])
+    def test_one_unequal_weight_forms_no_class(self, eig_rows, edge, rows):
+        g = block_path(4, 3)
+        g = build_graph(g.n, g.edges, {edge: 2.0})
+        s = spectral_summary(g)
+        assert eig_rows == [rows]
+        reference = np.linalg.eigh(laplacian(g))
+        assert abs(s.lambda2 - reference[0][1]) <= 1e-14 * reference[0][-1]
+        projector = reference[1][:, 1:2] @ reference[1][:, 1:2].T
+        assert np.abs(s.fiedler_basis @ s.fiedler_basis.T - projector).max() <= 1e-12
+
+    def test_leaves_group_by_weight(self, eig_rows):
+        # the hub, leaves 2..4 at weight 1, leaves 5 and 6 at weight 3
+        g = build_graph(6, [(1, v) for v in range(2, 7)], {(1, 5): 3.0, (1, 6): 3.0})
+        s = spectral_summary(g)
+        assert eig_rows == [3]
+        reference = np.linalg.eigvalsh(laplacian(g))
+        assert np.abs(s.spectrum - reference).max() <= 1e-14 * reference[-1]
+        assert s.multiplicity == 2  # lambda2 = 1, leaves 2..4's twin eigenvalue
+
+    def test_star_basis_is_helmert(self, eig_rows):
+        g = star_graph(399)
+        s = spectral_summary(g)
+        assert eig_rows == [2]
+        assert s.multiplicity == 398
+        reference = np.linalg.eigh(laplacian(g))[1][:, 1:399]
+        projector = s.fiedler_basis @ s.fiedler_basis.T
+        assert np.abs(projector - reference @ reference.T).max() <= 1e-12
+        # vector r is (1, ..., 1, -r) / sqrt(r (r + 1)) on leaves 2..r + 2,
+        # negated so that its largest entry is positive
+        r = 3
+        expected = np.zeros(400)
+        expected[1:r + 1] = -1.0
+        expected[r + 1] = r
+        assert np.abs(s.fiedler_basis[:, r - 1] - expected / math.sqrt(r * (r + 1))).max() <= 1e-16
+
+    def test_complete_graph_is_one_class(self, eig_rows):
+        s = spectral_summary(complete_graph(6))
+        assert eig_rows == [1]
+        assert s.spectrum.tolist() == [0.0] + [6.0] * 5
+        assert np.abs(s.fiedler_basis.T @ s.fiedler_basis - np.eye(5)).max() <= 1e-15
+
+    def test_disconnected_graph_has_no_classes(self, eig_rows):
+        # a forest of two stars: every class is a singleton
+        spectral_summary(build_graph(7, [(1, 2), (1, 3), (1, 4), (5, 6), (5, 7)]))
+        assert eig_rows == [7]
+
+    def test_classify_both_solves_the_quotient_once(self, eig_rows, tmp_path, capsys):
+        path = tmp_path / "starlike.edges"
+        path.write_text(format_edge_list(block_starlike(3, 4, [1, 1, 1])))
+        assert main(["classify", str(path), "--method", "both"]) == 0
+        capsys.readouterr()
+        assert eig_rows == [10]  # 19 vertices

@@ -47,6 +47,20 @@ class TestTwinsChecker:
         # 6 twin classes of size >= 2, times 2 basis vectors
         assert report.assertions == 12
 
+    def test_reads_the_unreduced_eigensolver(self, monkeypatch):
+        # spectral_summary's lifted vectors are constant on the twin classes
+        # by construction, so the checker solves all of L
+        rows = []
+
+        def counted(m, *args, _original=verify.eig_sym, **kwargs):
+            rows.append(len(m))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "eig_sym", counted)
+        monkeypatch.setattr(verify, "spectral_summary", None)
+        assert check_twins_lemma(block_path(4, 3)).status == "pass"
+        assert rows == [13]
+
     def test_non_block_graph_rejected(self):
         square = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(ValueError, match="block graph"):
