@@ -1,9 +1,13 @@
 """Block structure: biconnected components, articulation points, shape queries.
 
-The decomposition is computed with an iterative lowpoint search so that deep
-chains of cliques do not hit the interpreter recursion limit.  All orderings
-are deterministic: blocks are sorted by their smallest contained vertex and
-neighbor lists are walked in ascending label order.
+The decomposition is one iterative lowpoint search (Tarjan 1972) with a
+stack of vertices rather than edges, iterative so that deep chains of
+cliques do not hit the interpreter recursion limit.  Everything else is
+read off the blocks: the articulation points are the vertices in two or
+more blocks, and the graph is a block graph iff the blocks' sizes account
+for every edge.  All orderings are deterministic: blocks are sorted by
+their smallest contained vertex and neighbor lists are walked in ascending
+label order.
 """
 
 from dataclasses import dataclass
@@ -55,97 +59,74 @@ class BlockDecomposition:
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components and articulation points of a connected graph.
 
-    The search runs from vertex 1.  A block is popped when the search leaves
-    its top edge (u, v); it hangs from u, and everything found since v (the
-    search subtree of v) hangs below it, one run of the preorder.  Every
-    block is popped before the block it hangs from, so the pop order
-    reversed lists each parent before its children.  The library reads it
-    as `Graph.decomposition`, which computes it once per graph.
-    """
-    if g.n == 1:
-        return BlockDecomposition(
-            blocks=((1,),), articulation_points=(), all_cliques=True,
-            rooted=((0, 1),), _blocks_of=((0,),), _arts_of=((),),
-            _preorder=(1,), _spans=((1, 1),),
-        )
+    The search runs from vertex 1 and keeps a stack of the vertices found but
+    in no block yet, in preorder.  When it leaves v, a child of u, with
+    low[v] >= disc[u], the block is u plus the vertices popped down to v.
+    Every found neighbour w sets low[v] to min(low[v], disc[w]): the parent
+    u keeps low[v] >= disc[u] and a vertex below v cannot lower it, so the
+    test needs no edge directions.  The block hangs from u, and the search
+    subtree of v hangs below it, one run of the preorder.  Blocks pop
+    before the block they hang from, so the pop order reversed lists each
+    parent before its children.
 
-    disc = [0] * (g.n + 1)
+    A vertex is an articulation point iff it lies in two blocks: for vertex
+    1, the root, iff two blocks pop at it; with no neighbour it is a block
+    of its own.  Blocks partition the edges and a block of s vertices holds
+    at most s(s - 1)/2, so all are cliques iff the sum of s(s - 1) is 2m.
+    The library reads this as `Graph.decomposition`, computed once per
+    graph.
+    """
+    disc = [0] * (g.n + 1)  # preorder number, from 1; 0 until found
     low = [0] * (g.n + 1)
     parent = [0] * (g.n + 1)
     nbr_iter = [None] * (g.n + 1)
-    edge_stack: list[tuple[int, int]] = []
     popped: list[tuple[tuple[int, ...], int, tuple[int, int]]] = []  # (block, u, span)
-    articulation: set[int] = set()
-    all_cliques = True
-
-    root = 1
-    root_children = 0
-    preorder = [root]
-    disc[root] = low[root] = 1
-    nbr_iter[root] = iter(g.neighbors(root))
-    stack = [root]
-    while stack:
-        v = stack[-1]
+    preorder = [1]
+    unplaced = [1]  # found but in no block yet, in preorder
+    disc[1] = low[1] = 1
+    nbr_iter[1] = iter(g.neighbors(1))
+    path = [1]
+    while path:
+        v = path[-1]
         w = next(nbr_iter[v], None)
         if w is None:
-            stack.pop()
-            u = parent[v]
-            if u == 0:
-                continue
+            path.pop()
+            u = parent[v]  # 0 for the root, which the search leaves last
             low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                if u != root:
-                    articulation.add(u)
-                members: set[int] = set()
-                edges = 0
-                while True:
-                    e = edge_stack.pop()
-                    members.update(e)
-                    edges += 1
-                    if e == (u, v):
-                        break
-                # every edge is stacked exactly once, so the popped edges are
-                # all the edges of the block
-                s = len(members)
-                all_cliques = all_cliques and 2 * edges == s * (s - 1)
-                popped.append((tuple(sorted(members)), u, (disc[v] - 1, len(preorder))))
-            continue
-        if w == parent[v]:
-            continue
-        if disc[w] == 0:
-            if v == root:
-                root_children += 1
+            if u and low[v] >= disc[u]:
+                block = [u]
+                while block[-1] != v:
+                    block.append(unplaced.pop())
+                popped.append((tuple(sorted(block)), u, (disc[v] - 1, len(preorder))))
+        elif disc[w] == 0:
             parent[w] = v
             preorder.append(w)
+            unplaced.append(w)
             disc[w] = low[w] = len(preorder)
             nbr_iter[w] = iter(g.neighbors(w))
-            edge_stack.append((v, w))
-            stack.append(w)
-        elif disc[w] < disc[v]:
-            # back edge to an ancestor
-            edge_stack.append((v, w))
+            path.append(w)
+        else:
             low[v] = min(low[v], disc[w])
     if len(preorder) < g.n:
         raise ValueError("block decomposition requires a connected graph")
-    if root_children >= 2:
-        articulation.add(root)
+    if not popped:
+        popped.append(((1,), 1, (1, 1)))  # vertex 1 alone, hanging from itself
 
     ranked = sorted(popped)  # by block; no two blocks are equal
     blocks = tuple(block for block, _, _ in ranked)
     index = {block: i for i, block in enumerate(blocks)}
     blocks_of: list[list[int]] = [[] for _ in range(g.n)]
-    arts_of: list[tuple[int, ...]] = []
     for i, block in enumerate(blocks):
         for v in block:
             blocks_of[v - 1].append(i)
-        arts_of.append(tuple(v for v in block if v in articulation))
+    cut = [len(held) > 1 for held in blocks_of]
     return BlockDecomposition(
         blocks=blocks,
-        articulation_points=tuple(sorted(articulation)),
-        all_cliques=all_cliques,
+        articulation_points=tuple(v for v in g.vertices() if cut[v - 1]),
+        all_cliques=sum(len(b) * (len(b) - 1) for b in blocks) == 2 * g.m,
         rooted=tuple((index[block], u) for block, u, _ in reversed(popped)),
         _blocks_of=tuple(map(tuple, blocks_of)),
-        _arts_of=tuple(arts_of),
+        _arts_of=tuple(tuple(v for v in block if cut[v - 1]) for block in blocks),
         _preorder=tuple(preorder),
         _spans=tuple(span for _, _, span in ranked),
     )

@@ -169,34 +169,38 @@ def _merged_cluster(values: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray,
 def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """The twin class of each vertex (index v - 1), classes numbered by their
     smallest vertex, and each class's twin eigenvalue (0 for a singleton),
-    for a connected block graph g.
+    for a connected block graph g, read off its blocks in one pass.
 
     Weights are compared exactly:
     * true twins are the non-cut vertices of one block whose weights to each
       cut vertex of the block, and among themselves, are all equal; a block
-      with one unequal weight forms no class.  Their twin eigenvalue is
+      with one unequal weight forms no class, and a block with fewer than
+      two non-cut vertices is passed over.  Their twin eigenvalue is
       d_u + w_T, with d_u the degree and w_T the weight between two of them;
     * false twins are leaves hanging from one cut vertex by one weight w,
-      their twin eigenvalue.
+      their twin eigenvalue.  A leaf is the non-cut vertex of a block of two
+      vertices, one of them a cut vertex.
     """
     dec = g.decomposition
     weight = dict(zip(g.edges, g.weights))
-    cuts = set(dec.articulation_points)
     rep = np.arange(g.n)  # the smallest vertex of each vertex's class, 0-based
     value = np.zeros(g.n)  # the twin eigenvalue of each class, at rep
+    hanging: dict[tuple[int, float], list[int]] = {}  # (cut vertex, weight) -> leaves
     for i, block in enumerate(dec.blocks):
+        cuts = dec.articulations_in_block(i)
+        if len(block) == 2 and len(cuts) == 1:
+            (a,) = cuts
+            leaf = block[1] if block[0] == a else block[0]
+            hanging.setdefault((a, weight[block]), []).append(leaf - 1)
+        if len(block) - len(cuts) < 2:
+            continue
         twins = [v for v in block if v not in cuts]
         mutual = {weight[e] for e in itertools.combinations(twins, 2)}
-        to_cuts = {tuple(weight[min(t, x), max(t, x)] for x in dec.articulations_in_block(i))
-                   for t in twins}
+        to_cuts = {tuple(weight[min(t, x), max(t, x)] for x in cuts) for t in twins}
         if len(mutual) == 1 and len(to_cuts) == 1:
             (w_t,), (row,) = mutual, to_cuts
             rep[np.array(twins) - 1] = twins[0] - 1
             value[twins[0] - 1] = sum(row) + len(twins) * w_t
-    hanging: dict[tuple[int, float], list[int]] = {}  # (cut vertex, weight) -> leaves
-    for v, (a, *more) in g.adjacency.items():
-        if not more and a in cuts:
-            hanging.setdefault((a, weight[min(a, v), max(a, v)]), []).append(v - 1)
     for (_, w), leaves in hanging.items():
         if len(leaves) > 1:
             rep[leaves] = leaves[0]

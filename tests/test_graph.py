@@ -216,13 +216,22 @@ class TestIsBlockGraph:
 
     @settings(max_examples=100, deadline=None)
     @given(connected_graphs())
+    @example(build_graph(1, []))
+    @example(complete_graph(2))
+    @example(star_graph(4))
+    # a 4-cycle through the root with a pendant: two blocks pop at vertex 1
+    @example(build_graph(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5)]))
     def test_matches_biconnected_clique_oracle(self, g):
         nxg = to_networkx(g)
+        components = list(nx.biconnected_components(nxg))
         expected = all(
             nxg.subgraph(comp).number_of_edges() == len(comp) * (len(comp) - 1) // 2
-            for comp in nx.biconnected_components(nxg)
+            for comp in components
         )
         assert is_block_graph(g) == expected
+        # networkx gives a lone vertex no component; it is a block of its own
+        blocks = {tuple(sorted(comp)) for comp in components} or {(1,)}
+        assert set(block_decomposition(g).blocks) == blocks
 
 
 def _pendant_triangles(base: Graph, at) -> Graph:

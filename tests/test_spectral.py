@@ -391,6 +391,55 @@ def test_perron_route_answers_seeded_weighted_clique_trees(s):
             assert (c.verdict, c.zero_vertex) == (perron_c.verdict, perron_c.zero_vertex)
 
 
+def _outcomes(g, back):
+    """Each route's outcome on g with every vertex x read as back[x]: the
+    Perron route's verdict, zero vertex and tied components, and the set of
+    (verdict, zero vertex, mixed block) over the structural route's Fiedler
+    vectors.  A route that raises has the exception's type as outcome."""
+    def read(vertices):
+        return tuple(sorted(back[x] for x in vertices))
+
+    try:
+        c, _ = classify_perron(g)
+        perron = (c.verdict, back.get(c.zero_vertex),
+                  sorted(map(read, c.perron_components or ())))
+    except (ClassificationError, ConvergenceError) as exc:
+        perron = type(exc)
+    try:
+        structural = {(c.verdict, back.get(c.zero_vertex), read(c.mixed_block or ()))
+                      for c in classify_structural(g)}
+    except (ClassificationError, ConvergenceError) as exc:
+        structural = type(exc)
+    return perron, structural
+
+
+@pytest.mark.parametrize("s", [0, 2, 4, 8])
+def test_outcomes_survive_relabeling_and_power_of_two_scaling(s):
+    # ROADMAP Q: a verdict belongs to the weighted graph, not to its labels
+    # or to a scaling of every weight by 2**k that stays in the exponent
+    # range.  The structural route's numerics follow the vertex order, so
+    # until ROADMAP J one labeling may raise where another gives a verdict;
+    # two labelings must never give two different verdicts.
+    trees, perms = random.Random(1000 + s), random.Random(7)
+    for _ in range(40):
+        g = random_weighted_clique_tree(trees, s)
+        identity = {x: x for x in g.vertices()}
+        perron, structural = _outcomes(g, identity)
+        for k in (200, -200):
+            scaled = build_graph(g.n, g.edges, {
+                e: math.ldexp(w, k) for e, w in zip(g.edges, g.weights)})
+            assert _outcomes(scaled, identity) == (perron, structural)
+        structurals = [structural]
+        for _ in range(3):
+            new = dict(zip(g.vertices(), perms.sample(range(1, g.n + 1), g.n)))
+            relabeled = build_graph(g.n, [(new[u], new[v]) for u, v in g.edges], {
+                (new[u], new[v]): w for (u, v), w in zip(g.edges, g.weights)})
+            moved_perron, moved = _outcomes(relabeled, {y: x for x, y in new.items()})
+            assert moved_perron == perron
+            structurals.append(moved)
+        assert len({frozenset(o) for o in structurals if isinstance(o, set)}) <= 1
+
+
 @st.composite
 def weighted_clique_trees(draw):
     """Random clique trees, half of them with random positive edge weights."""
