@@ -10,7 +10,10 @@ their smallest contained vertex and neighbor lists are walked in ascending
 label order.
 """
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 
@@ -42,18 +45,40 @@ class BlockDecomposition:
     def articulations_in_block(self, i: int) -> tuple[int, ...]:
         return self._arts_of[i]
 
-    def components_without(self, v: int) -> tuple[tuple[int, ...], ...]:
-        """Components of g minus v: sorted tuples, ordered by smallest vertex.
+    def cut_components(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """(components, support, ground) for every cut vertex in one pass:
+        components[k] lists the components of g minus articulation_points[k],
+        sorted tuples ordered by smallest vertex.  Listed in turn they are
+        the items; row j of the C-contiguous boolean items x n `support`
+        marks item j's vertices, and ground[j] is v - 1 for its cut vertex v.
 
         Each block hanging from v (its run of the preorder starts after v)
-        leaves that run as one component; the other vertices but v, if any,
-        are the component holding the block v hangs from.
+        leaves that run as one component; the rest of the preorder but v,
+        if any, is the component holding the block v hangs from.  Rows are
+        marked by comparing each vertex's preorder position with the runs,
+        so they come out in label order with no sort.
         """
-        at = self._preorder.index(v)
-        below = [self._preorder[lo:hi] for lo, hi in
-                 (self._spans[i] for i in self.blocks_containing(v)) if lo > at]
-        rest = set(self._preorder).difference([v], *below)
-        return tuple(sorted(tuple(sorted(c)) for c in [*below, rest] if c))
+        arts, spans, holding = self.articulation_points, self._spans, self._blocks_of
+        place = np.argsort(self._preorder)  # index v - 1: v's position in the preorder
+        at = place.tolist()
+        runs = [[spans[i] for i in holding[v - 1] if spans[i][0] > at[v - 1]] for v in arts]
+        counts = list(map(len, runs))  # none is 0: a cut vertex has a block below it
+        lo, hi = np.array([s for r in runs for s in r], dtype=np.intp).reshape(-1, 2).T
+        below = (lo[:, None] <= place) & (place < hi[:, None])
+        starts = list(itertools.accumulate(counts, initial=0))[:-1]
+        rest = ~np.logical_or.reduceat(below, starts, axis=0)
+        k, ground = np.arange(len(arts)), np.array(arts, dtype=np.intp) - 1
+        rest[k, ground] = False  # v is in no component
+        skip = int(arts[:1] == (1,))  # vertex 1 lies in every rest but its own, which is empty
+        sizes = [c + (j >= skip) for j, c in enumerate(counts)]
+        rows = np.concatenate([rest[skip:], below])
+        owner = np.concatenate([k[skip:], np.repeat(k, counts)])
+        support = rows[np.lexsort((rows.argmax(axis=1), owner))]  # by v, then least vertex
+        labels = (np.flatnonzero(support) % place.size + 1).tolist()  # row by row
+        ends = support.sum(axis=1).cumsum().tolist()
+        items = iter([tuple(labels[a:b]) for a, b in zip([0, *ends], ends)])
+        components = tuple(tuple(itertools.islice(items, c)) for c in sizes)
+        return components, support, np.repeat(ground, sizes)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -62,12 +87,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     The search runs from vertex 1 and keeps a stack of the vertices found but
     in no block yet, in preorder.  When it leaves v, a child of u, with
     low[v] >= disc[u], the block is u plus the vertices popped down to v.
-    Every found neighbour w sets low[v] to min(low[v], disc[w]): the parent
-    u keeps low[v] >= disc[u] and a vertex below v cannot lower it, so the
-    test needs no edge directions.  The block hangs from u, and the search
-    subtree of v hangs below it, one run of the preorder.  Blocks pop
-    before the block they hang from, so the pop order reversed lists each
-    parent before its children.
+    Leaving v, low[v] takes the least disc[w] of its neighbours, all found
+    by then: the parent u keeps low[v] >= disc[u] and a vertex below v
+    cannot lower it, so the test needs no edge directions.  The block hangs
+    from u, and the search subtree of v hangs below it, one run of the
+    preorder.  Blocks pop before the block they hang from, so the pop order
+    reversed lists each parent before its children.
 
     A vertex is an articulation point iff it lies in two blocks: for vertex
     1, the root, iff two blocks pop at it; with no neighbour it is a block
@@ -84,13 +109,16 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     preorder = [1]
     unplaced = [1]  # found but in no block yet, in preorder
     disc[1] = low[1] = 1
-    nbr_iter[1] = iter(g.neighbors(1))
+    nbr_iter[1] = iter(g.adjacency[1])
     path = [1]
     while path:
         v = path[-1]
-        w = next(nbr_iter[v], None)
-        if w is None:
+        for w in nbr_iter[v]:  # the next neighbour not found yet
+            if not disc[w]:
+                break
+        else:  # every neighbour is found: leave v
             path.pop()
+            low[v] = min([low[v], *map(disc.__getitem__, g.adjacency[v])])
             u = parent[v]  # 0 for the root, which the search leaves last
             low[u] = min(low[u], low[v])
             if u and low[v] >= disc[u]:
@@ -98,15 +126,13 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 while block[-1] != v:
                     block.append(unplaced.pop())
                 popped.append((tuple(sorted(block)), u, (disc[v] - 1, len(preorder))))
-        elif disc[w] == 0:
-            parent[w] = v
-            preorder.append(w)
-            unplaced.append(w)
-            disc[w] = low[w] = len(preorder)
-            nbr_iter[w] = iter(g.neighbors(w))
-            path.append(w)
-        else:
-            low[v] = min(low[v], disc[w])
+            continue
+        parent[w] = v
+        preorder.append(w)
+        unplaced.append(w)
+        disc[w] = low[w] = len(preorder)
+        nbr_iter[w] = iter(g.adjacency[w])
+        path.append(w)
     if len(preorder) < g.n:
         raise ValueError("block decomposition requires a connected graph")
     if not popped:

@@ -67,15 +67,13 @@ def build_graph(n: int, edges, weights=None) -> Graph:
         raise ValueError(f"graph has {n} vertices, above the desk-scale cap {DESK_SCALE_LIMIT}")
     normalized: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for pair in edges:
-        u, v = pair
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
-        key = (min(u, v), max(u, v))
+    for u, v in edges:  # the first pair at fault is named as given
+        lo, hi = key = (u, v) if u < v else (v, u)
+        if not 1 <= lo < hi <= n:
+            raise ValueError(f"self-loop at vertex {u}" if u == v
+                             else f"edge ({u},{v}) out of range 1..{n}")
         if key in seen:
-            raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
+            raise ValueError(f"duplicate edge ({lo},{hi})")
         seen.add(key)
         normalized.append(key)
     normalized.sort()

@@ -26,6 +26,7 @@ Conventions:
   deterministic.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -59,10 +60,9 @@ class PerronData(NamedTuple):
 def laplacian(g: Graph) -> np.ndarray:
     """Weighted graph Laplacian: degree sums on the diagonal, -w(u,v) off it."""
     lap = np.zeros((g.n, g.n))
-    # edges are unique pairs, so no entry is written twice; the reshape keeps
-    # an edgeless graph's index array two-column
-    u, v = (np.array(g.edges, dtype=np.intp).reshape(-1, 2) - 1).T
-    lap[u, v] = lap[v, u] = -np.array(g.weights, dtype=float)
+    # edges are unique pairs, so no entry is written twice
+    u, v = np.fromiter(itertools.chain(*g.edges), np.intp, 2 * g.m).reshape(-1, 2).T - 1
+    lap[u, v] = lap[v, u] = -np.fromiter(g.weights, float, g.m)
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap
 
@@ -312,6 +312,9 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     items x n array `support`.  Its bottleneck matrix L[C]^-1 is the Green's
     function grounded at that vertex, (r_i + r_l - R_il) / 2 with r its row
     of `res`, so (B x)_i = (r_i sum(x) + r.x - (R x)_i) / 2 for i in C.
+    `res` is scaled exactly by 2**-e, e midway between the exponents of its
+    largest and least positive entry, and the values back by 2**e: the sums
+    of squares stay in range while those entries lie under 1e300 apart.
 
     Each item's iterate is one row of an items x n block X that is zero off
     its C, so a step is one product X @ res plus row-wise updates.  Off C the
@@ -335,6 +338,9 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     steps its row took.  No vector is kept.
     """
     tol, cap = POWER_RQ_TOL, POWER_MAX_ITER  # read at call time: tests patch them
+    top, least = res.max(), np.min(res, where=res > 0, initial=math.inf)
+    e = (math.frexp(float(top))[1] + math.frexp(float(least))[1]) // 2  # frexp(inf)[1] is 0
+    res = np.ldexp(res, -e)
     support = np.asarray(support, dtype=bool)
     ground = np.asarray(ground, dtype=np.intp)
     items, n = support.shape
@@ -353,7 +359,8 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
             j = int(live[0])
             raise ConvergenceError(
                 f"power iteration cap {cap} reached at cut vertex {ground[j] + 1} "
-                f"for its component of {sizes[j]} vertices (last value {float(value[0])!r})"
+                f"for its component of {sizes[j]} vertices "
+                f"(last value {math.ldexp(float(value[0]), e)!r})"
             )
         step += 1
         # x is 0 at its ground v; with -sum(x) put there, x @ res is
@@ -395,7 +402,7 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
             "resistance array"
         )
     return [PerronData(value=val, iterations=it)
-            for val, it in zip(values.tolist(), iterations.tolist())]
+            for val, it in zip(np.ldexp(values, e).tolist(), iterations.tolist())]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

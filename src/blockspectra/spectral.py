@@ -22,16 +22,16 @@ the tie margin.
 
 The Perron route reads only the Laplacian's entries and the block-cut tree,
 which `Graph.decomposition` builds and roots once per graph.  It lists the
-components of g minus each cut vertex from that tree
-(`BlockDecomposition.components_without`); the structural route walks the
+components of g minus every cut vertex in one pass over that tree
+(`BlockDecomposition.cut_components`); the structural route walks the
 tree and lists none.  The inverses are bottleneck matrices, Green's functions
 grounded at the cut vertex: (L[C]^-1)_ij = (R_iv + R_jv - R_ij) / 2, where R
 is effective resistance (Klein & Randic 1993).  Resistance adds up across cut
-vertices, so R comes from one pass over the rooted tree, inverting the
-grounded Laplacian of each distinct block once, by subtraction-free GTH
-elimination (`linalg.grounded_inverse`).  Then one batched power iteration
-per request (`linalg.perron_pairs`) finds the Perron value of every (cut
-vertex, component) item from R directly; no bottleneck matrix is formed.
+vertices, so R comes from one pass over the rooted tree in placement order,
+solving the grounded Laplacian of each distinct block once by subtraction-free
+GTH elimination (`linalg.grounded_inverse`).  One batched power iteration per
+request (`linalg.perron_pairs`), on R scaled exactly by a power of two, finds
+each (cut vertex, component) item's Perron value, forming no bottleneck matrix.
 The Perron route reads `laplacian(g)` and the structural route its twin
 quotient; the structural route alone calls the eigensolver, so the two
 classifiers share no numerical machinery, which is the point: each one
@@ -107,8 +107,8 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     contributes Helmert vectors of its class (1, ..., 1, -r, 0, ...) /
     sqrt(r (r + 1)), and the lifted basis follows `eig_sym`'s sign rule: the
     largest-magnitude entry of each vector is positive, ties going to the
-    lowest index.  Without twins V is the identity and this is `eig_sym` on
-    L itself, bit for bit.
+    lowest index, and a zero entry is +0.0.  Without twins V is the identity
+    and this is `eig_sym` on L itself, bit for bit but for the sign of zero.
     """
     if g.n == 1:
         return SpectralSummary(
@@ -146,6 +146,7 @@ def spectral_summary(g: Graph) -> SpectralSummary:
             basis[members[r], col] = -r / math.sqrt(r * (r + 1))
     lead = np.abs(basis).argmax(axis=0)
     basis[:, basis[lead, np.arange(len(chosen))] < 0] *= -1.0
+    basis += 0.0  # the flip turns zeros into -0.0; x + 0.0 is x for every other x
     return SpectralSummary(
         lambda2=float(spectrum[1]),
         multiplicity=len(chosen),
@@ -247,8 +248,12 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     Every path between blocks runs through the cut vertices joining them, so
     resistance adds up across them: a block entered through cut vertex a puts
     each of its vertices R_block[., a] further from every vertex placed
-    before it than a is.  Vertex 1 is placed first, then each block in the
-    rooted order, which places a before the block hanging from it.
+    before it than a is.  Vertex 1 is placed first, then each block's other
+    vertices in the rooted order, which places a before the block hanging
+    from it.  R is assembled in this placement order, where a block writes
+    three contiguous slices (its rows against the vertices placed before it,
+    each entry the one addition R_block[x, a] + R[a, y]; their transpose;
+    R_block among its own), and permuted to label order once.
 
     A block's conductances, in block order, are cut from `-laplacian(g)`
     with its diagonal zeroed: every edge joining two of its vertices lies in
@@ -261,28 +266,35 @@ def _resistances(g: Graph, dec: BlockDecomposition) -> np.ndarray:
     """
     cond = -laplacian(g)
     np.fill_diagonal(cond, 0.0)
-    res = np.zeros((g.n, g.n))
-    placed = np.zeros(1, dtype=int)  # vertex 1
+    conds = {}  # each block's own conductances, one gather per block size
+    for size in {len(block) for block in dec.blocks}:
+        same = [i for i, block in enumerate(dec.blocks) if len(block) == size]
+        at = np.array([dec.blocks[i] for i in same]) - 1
+        conds.update(zip(same, cond[at[:, :, None], at[:, None]]))
+    order = [1, *(u for i, a in dec.rooted for u in dec.blocks[i] if u != a)]
+    where = dict(zip(order, range(g.n)))  # each vertex's position in placement order
+    placed = np.zeros((g.n, g.n))  # R in placement order
     solved: dict[bytes, np.ndarray] = {}
+    cuts: dict[tuple[bytes, int], tuple[np.ndarray, np.ndarray]] = {}  # by position of a
+    lo = 1
     for i, a in dec.rooted:
-        block = dec.blocks[i]
-        at = np.array(block) - 1
-        local = cond[at[:, None], at]
-        key = local.tobytes()
+        key, j = conds[i].tobytes(), dec.blocks[i].index(a)
         if key not in solved:
-            green = grounded_inverse(local)
+            green = grounded_inverse(conds[i])
             d = green.diagonal()
             # G + G^T is exactly symmetric where the solved G need not be
             solved[key] = (d[:, None] + d) - (green + green.T)
-        within = solved[key]
-        fresh = np.array([t for t, u in enumerate(block) if u != a])
-        idx = at[fresh]
-        cross = within[fresh, block.index(a)][:, None] + res[a - 1, placed]
-        res[idx[:, None], placed] = cross
-        res[placed[:, None], idx] = cross.T
-        res[idx[:, None], idx] = within[fresh[:, None], fresh]
-        placed = np.concatenate([placed, idx])
-    return res
+        if (key, j) not in cuts:
+            within, fresh = solved[key], np.arange(len(dec.blocks[i])) != j
+            cuts[key, j] = within[fresh, j][:, None], within[np.ix_(fresh, fresh)]
+        to_a, inner = cuts[key, j]
+        hi = lo + len(inner)
+        np.add(to_a, placed[where[a], :lo], out=placed[lo:hi, :lo])
+        placed[:lo, lo:hi] = placed[lo:hi, :lo].T
+        placed[lo:hi, lo:hi] = inner
+        lo = hi
+    rank = np.argsort(order)  # the position of each vertex, index v - 1
+    return placed.take(rank, axis=0).take(rank, axis=1)
 
 
 def classify_perron(
@@ -301,19 +313,10 @@ def classify_perron(
     """
     _check_tolerance("tie_rel_tol", tie_rel_tol)
     dec = _cut_vertex_blocks(g)
-    vertices = dec.articulation_points
-    comps = [dec.components_without(v) for v in vertices]
-    flat = [c for cs in comps for c in cs]
-    sizes = [len(c) for c in flat]
-    support = np.zeros((len(flat), g.n), dtype=bool)
-    support[
-        np.repeat(np.arange(len(flat)), sizes),
-        np.fromiter(itertools.chain.from_iterable(flat), np.intp, sum(sizes)) - 1,
-    ] = True
-    ground = np.repeat(np.array(vertices) - 1, [len(cs) for cs in comps])
+    comps, support, ground = dec.cut_components()
     pairs = iter(perron_pairs(_resistances(g, dec), ground, support))
     by_vertex = {}
-    for v, components in zip(vertices, comps):
+    for v, components in zip(dec.articulation_points, comps):
         values = tuple(next(pairs).value for _ in components)
         best = max(values)
         maximizers = tuple(

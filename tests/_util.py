@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 
 from blockspectra import Graph, build_graph, coalesce, complete_graph, spectral
+from blockspectra.linalg import grounded_inverse, laplacian
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -19,7 +20,7 @@ def to_networkx(g: Graph) -> nx.Graph:
 
 def delete_vertex_components(g: Graph, v: int) -> list[tuple[int, ...]]:
     """Components of g with v removed, ordered by smallest contained vertex:
-    the BFS reference `BlockDecomposition.components_without` is checked
+    the BFS reference `BlockDecomposition.cut_components` is checked
     against."""
     seen = {v}
     comps = []
@@ -92,6 +93,66 @@ def clique_tree(sizes, attach_points) -> Graph:
     return g
 
 
+def components_without(dec, v: int) -> tuple[tuple[int, ...], ...]:
+    """Components of g minus v: sorted tuples, ordered by smallest vertex,
+    one vertex at a time from the block decomposition `dec` of g: the
+    reference `BlockDecomposition.cut_components` is checked against bit for
+    bit.
+
+    Each block hanging from v (its run of the preorder starts after v)
+    leaves that run as one component; the other vertices but v, if any,
+    are the component holding the block v hangs from.
+    """
+    at = dec._preorder.index(v)
+    below = [dec._preorder[lo:hi] for lo, hi in
+             (dec._spans[i] for i in dec.blocks_containing(v)) if lo > at]
+    rest = set(dec._preorder).difference([v], *below)
+    return tuple(sorted(tuple(sorted(c)) for c in [*below, rest] if c))
+
+
+def reference_resistances(g: Graph, dec) -> np.ndarray:
+    """Effective resistances written block by block in label order, each
+    block's rows against every vertex placed before it by fancy indexing:
+    the reference `spectral._resistances` is checked against bit for bit.
+    Every entry is the same one addition, R_block[x, a] + R[a, y]."""
+    cond = -laplacian(g)
+    np.fill_diagonal(cond, 0.0)
+    res = np.zeros((g.n, g.n))
+    placed = np.zeros(1, dtype=int)  # vertex 1
+    solved = {}
+    for i, a in dec.rooted:
+        block = dec.blocks[i]
+        at = np.array(block) - 1
+        local = cond[at[:, None], at]
+        key = local.tobytes()
+        if key not in solved:
+            green = grounded_inverse(local)
+            d = green.diagonal()
+            solved[key] = (d[:, None] + d) - (green + green.T)
+        within = solved[key]
+        fresh = np.array([t for t, u in enumerate(block) if u != a])
+        idx = at[fresh]
+        cross = within[fresh, block.index(a)][:, None] + res[a - 1, placed]
+        res[idx[:, None], placed] = cross
+        res[placed[:, None], idx] = cross.T
+        res[idx[:, None], idx] = within[fresh[:, None], fresh]
+        placed = np.concatenate([placed, idx])
+    return res
+
+
+def reference_items(g: Graph, dec):
+    """(components, support, ground) for every cut vertex of g, listed one
+    vertex at a time by `components_without` and marked row by row: the
+    reference `BlockDecomposition.cut_components` is checked against."""
+    components = tuple(components_without(dec, v) for v in dec.articulation_points)
+    flat = [c for cs in components for c in cs]
+    support = np.zeros((len(flat), g.n), dtype=bool)
+    for row, c in zip(support, flat):
+        row[[u - 1 for u in c]] = True
+    ground = np.repeat(np.array(dec.articulation_points) - 1, [len(cs) for cs in components])
+    return components, support, ground
+
+
 def bottlenecks(g: Graph, v: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(component, bottleneck matrix) for each component C of g minus v, built
     from the graph's effective resistances R as (R_iv + R_jv - R_ij) / 2 over
@@ -99,7 +160,7 @@ def bottlenecks(g: Graph, v: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
     dec = g.decomposition
     res = spectral._resistances(g, dec)
     out = []
-    for comp in dec.components_without(v):
+    for comp in components_without(dec, v):
         idx = np.array(comp) - 1
         r = res[idx, v - 1]
         out.append((comp, (r[:, None] + r - res[np.ix_(idx, idx)]) / 2))

@@ -3,6 +3,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -249,8 +250,7 @@ def test_tiny_uniform_weights_fail_or_answer_right(capsys, monkeypatch, w, argv)
 def test_extreme_uniform_weights_answer_right_through_the_eigensolver(capsys, monkeypatch, w, argv):
     # the eigensolver takes every norm of a vector scaled by a power of two,
     # so no sum of squares underflows or overflows: the structural route
-    # answers case B at the chain's center, 7, with lambda2 scaled by w (the
-    # Perron route still stops at non-convergence, ROADMAP J)
+    # answers case B at the chain's center, 7, with lambda2 scaled by w
     monkeypatch.setattr("sys.stdin", io.StringIO(_uniform(block_path(4, 3), w)))
     code, out, err = run(capsys, argv[0], "-", *argv[1:])
     assert (code, err) == (0, "")
@@ -286,6 +286,17 @@ def chain_file(tmp_path):
 
 
 class TestSpectrum:
+    def test_lifted_basis_prints_no_negative_zero(self, capsys, monkeypatch):
+        # the second vector is a quotient vector lifted and sign-flipped; its
+        # entries at the weight-2 leaves 5 and 6 and at the hub 1 are zero
+        monkeypatch.setattr("sys.stdin", io.StringIO("6 5\n1 2\n1 3\n1 4\n1 5 2.0\n1 6 2.0\n"))
+        code, out, _ = run(capsys, "spectrum", "-")
+        assert code == 0
+        assert "-0.0" not in out
+        basis = json.loads(out)["spectrum"]["fiedler_basis"]
+        assert [[math.copysign(1.0, x) for x in vector if x == 0] for vector in basis] == [
+            [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]
+
     def test_chain(self, capsys, chain_file):
         code, out, _ = run(capsys, "spectrum", chain_file)
         assert code == 0

@@ -75,6 +75,27 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="out of range"):
             build_graph(3, [(1, 4)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        # the message names the edge as given, not as stored
+        (5, [(1, 2), (9, 2), (6, 1)], "edge (9,2) out of range 1..5"),
+        (5, [(2, 3), (0, 1)], "edge (0,1) out of range 1..5"),
+        # the first offending edge in input order wins, whatever its fault
+        (5, [(1, 2), (4, 4), (2, 1)], "self-loop at vertex 4"),
+        (5, [(1, 2), (2, 1), (4, 4)], "duplicate edge (1,2)"),
+        (5, [(3, 4), (2, 3), (4, 3)], "duplicate edge (3,4)"),
+        (5, [(4, 3), (3, 4)], "duplicate edge (3,4)"),
+        (5, [(1, 2), (2, 1), (7, 1)], "duplicate edge (1,2)"),
+    ])
+    def test_first_edge_error_is_named_exactly(self, n, edges, message):
+        with pytest.raises(ValueError) as caught:
+            build_graph(n, edges)
+        assert str(caught.value) == message
+
+    def test_edges_are_stored_sorted_in_ascending_orientation(self):
+        g = build_graph(4, iter([(4, 3), (2, 1), (1, 3)]), {(3, 4): 2.0})
+        assert g.edges == ((1, 2), (1, 3), (3, 4))
+        assert g.weights == (1.0, 1.0, 2.0)
+
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError, match="not positive and finite"):
             build_graph(2, [(1, 2)], {(1, 2): 0.0})
@@ -197,10 +218,22 @@ class TestBlockDecomposition:
     @example(build_graph(1, []))
     @example(star_graph(4))
     @example(block_starlike(3, 4, [3, 2, 1]))
+    # at vertex 2 the search subtree of 3 stays with 1: the rest is two runs
+    @example(build_graph(4, [(1, 2), (2, 3), (1, 3), (2, 4)]))
+    # the search leaves 1 into {1, 3} before {1, 4}, whose run holds the smaller 2
+    @example(build_graph(4, [(1, 3), (1, 4), (2, 4)]))
     def test_components_without_match_deletion_oracle(self, g):
         dec = block_decomposition(g)
-        for v in g.vertices():
-            assert dec.components_without(v) == tuple(delete_vertex_components(g, v))
+        components, support, ground = dec.cut_components()
+        assert len(components) == len(dec.articulation_points)
+        items = []
+        for v, comps in zip(dec.articulation_points, components):
+            assert comps == tuple(delete_vertex_components(g, v))
+            items += [(v, c) for c in comps]
+        assert support.shape == (len(items), g.n) and support.flags.c_contiguous
+        for row, grounded, (v, c) in zip(support, ground, items):
+            assert grounded == v - 1
+            assert row.nonzero()[0].tolist() == [u - 1 for u in c]
 
 
 class TestIsBlockGraph:

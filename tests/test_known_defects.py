@@ -90,10 +90,8 @@ def test_path_with_two_weak_end_edges(capsys, monkeypatch, method, w):
 @pytest.mark.parametrize("method, w", [
     ("structural", 1e-200),
     ("structural", 1e300),
-    pytest.param("perron", 1e-200, marks=_xfail(
-        "ROADMAP J: the power iteration reaches nan, exit 3")),
-    pytest.param("perron", 1e300, marks=_xfail(
-        "ROADMAP J: the power iteration reaches nan, exit 3")),
+    ("perron", 1e-200),
+    ("perron", 1e300),
 ])
 def test_block_path_at_uniform_extreme_weight(capsys, monkeypatch, method, w):
     g = block_path(4, 3)

@@ -21,7 +21,7 @@ from blockspectra import (
 )
 from blockspectra import linalg, spectral
 from blockspectra.linalg import grounded_inverse, perron_pairs
-from _util import clique_tree
+from _util import clique_tree, components_without
 
 RNG = np.random.default_rng(20240817)
 
@@ -321,7 +321,7 @@ def perron_items(g, vertices):
     of `vertices`, from one `perron_pairs` call, as the Perron route makes
     it."""
     dec = block_decomposition(g)
-    items = [(v, c) for v in vertices for c in dec.components_without(v)]
+    items = [(v, c) for v in vertices for c in components_without(dec, v)]
     support = np.zeros((len(items), g.n), dtype=bool)
     for row, (_, c) in zip(support, items):
         row[[u - 1 for u in c]] = True
@@ -423,14 +423,25 @@ class TestPerronPairs:
 
     def test_non_finite_value_fails_at_once(self):
         # 2 R_34 overflows in the second item's B x, while the first item
-        # stays finite; on inf or nan the cap would take 50 000 steps
-        res = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+        # stays finite; on inf or nan the cap would take 50 000 steps.  R_12
+        # sits below 2**-1024, so the scaling's midpoint exponent is 0 and R
+        # is used as given
+        tiny = 5e-309
+        res = np.array([[0.0, tiny, 2.0, 3.0], [tiny, 0.0, 1.0, 2.0],
                         [2.0, 1.0, 0.0, 1e308], [3.0, 2.0, 1e308, 0.0]])
         support = np.array([[False, True, False, False], [False, False, False, True]])
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(ConvergenceError, match="non-finite value inf at step 1 at "
                                "cut vertex 3 for its component of 1 vertices"):
                 perron_pairs(res, [0, 2], support)
+
+    def test_resistances_308_orders_apart(self):
+        # R is scaled by the power of two midway between the exponents of
+        # R_34 = 1e308 and R_12 = 1; unscaled, 2 R_34 overflowed at step 1
+        res = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                        [2.0, 1.0, 0.0, 1e308], [3.0, 2.0, 1e308, 0.0]])
+        support = np.array([[False, True, False, False], [False, False, False, True]])
+        assert [pair.value for pair in perron_pairs(res, [0, 2], support)] == [1.0, 1e308]
 
     def test_cap_names_the_vertex_and_component(self, monkeypatch):
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)

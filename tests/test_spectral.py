@@ -30,10 +30,18 @@ from blockspectra import (
     star_graph,
 )
 from blockspectra import spectral
-from blockspectra.linalg import grounded_inverse
+from blockspectra.linalg import grounded_inverse, perron_pairs
 from blockspectra.cli import main
 from blockspectra.verify import IDENTITY_REL_TOL
-from _util import bottlenecks, clique_tree, delete_vertex_components, random_weighted_clique_tree
+from _util import (
+    bottlenecks,
+    clique_tree,
+    delete_vertex_components,
+    prufer_tree,
+    random_weighted_clique_tree,
+    reference_items,
+    reference_resistances,
+)
 
 
 class TestSpectralSummary:
@@ -346,6 +354,12 @@ def _assert_fiedler_eigen_equation(g, s):
     assert (residual <= IDENTITY_REL_TOL * np.linalg.norm(y, axis=0) * max(g.weights)).all()
 
 
+def _perron_steps(g):
+    """The PerronData of every item the Perron route iterates on."""
+    _, support, ground = g.decomposition.cut_components()
+    return perron_pairs(spectral._resistances(g, g.decomposition), ground, support)
+
+
 def _verdicts(g):
     s = spectral_summary(g)
     _assert_fiedler_eigen_equation(g, s)
@@ -359,6 +373,27 @@ class TestScaleFree:
     """Scaling every edge weight by c scales the Laplacian by c, so no
     verdict, multiplicity or connectivity flag may change, and lambda2 / c
     must stay put; every tolerance of the structural route is relative."""
+
+    @pytest.mark.parametrize("exponent", range(-300, 301, 20))
+    def test_perron_route_at_every_uniform_weight(self, exponent):
+        # the power iteration scales R exactly by a power of two near its
+        # entries: unscaled, a row's sum of squares was subnormal at 1e160,
+        # so the iteration ran to its 50 000-step cap, and overflowed to nan
+        # at 1e-200
+        g = block_path(4, 3)
+        base = [pair.iterations for pair in _perron_steps(g)]
+        scaled = build_graph(g.n, g.edges, {e: 10.0 ** exponent for e in g.edges})
+        classification, _ = classify_perron(scaled)
+        assert (classification.verdict, classification.zero_vertex) == ("B", 7)
+        assert max(pair.iterations for pair in _perron_steps(scaled)) <= max(base) + 2
+
+    def test_perron_route_on_weights_200_orders_apart(self):
+        # the scale is midway between R's largest and least positive entry:
+        # scaled by the largest alone, R_12 = 1e-100 would sit 200 orders
+        # below 1, and its component's sum of squares would underflow to 0
+        g = build_graph(3, [(1, 2), (2, 3)], {(1, 2): 1e100, (2, 3): 1e-100})
+        _, by_vertex = classify_perron(g)
+        assert by_vertex[2].values == pytest.approx((1e-100, 1e100), rel=1e-12)
 
     @pytest.mark.parametrize("exponent", range(-100, 101, 10))
     @pytest.mark.parametrize("name", sorted(_SCALED_GRAPHS))
@@ -469,8 +504,7 @@ class TestBottleneckMatrices:
         oracle = d[:, None] + d[None, :] - 2 * pinv
         assert np.array_equal(res, res.T)
         assert np.abs(res - oracle).max() <= 1e-10 * np.abs(oracle).max()
-        for v in dec.articulation_points:
-            comps = dec.components_without(v)
+        for v, comps in zip(dec.articulation_points, dec.cut_components()[0]):
             assert comps == tuple(delete_vertex_components(g, v))
             for comp, b in bottlenecks(g, v):
                 idx = [u - 1 for u in comp]
@@ -546,6 +580,61 @@ class TestDistinctBlockSolves:
         assert solves == [(4, 4), (4, 4)]
 
 
+def _case_a_starlike():
+    # three arms, p1 > p2 and p2 + p3 + 1 >= p1: the starlike case-A profiles
+    triples = [(p1, p2, p3) for p1 in range(1, 6) for p2 in range(p1)
+               for p3 in range(p2 + 1) if p2 + p3 + 1 >= p1]
+    return [block_starlike(3, k, list(arms)) for k in range(2, 7) for arms in triples]
+
+
+def _weighted_trees(s):
+    rng = random.Random(1000 + s)
+    return [random_weighted_clique_tree(rng, s) for _ in range(40)]
+
+
+def _cap_instances():
+    rng = random.Random(1)
+    return [
+        block_path(2, 398), block_path(3, 198), block_path(20, 20),
+        block_starlike(4, 6, [15] * 4),
+        prufer_tree(400, [rng.randrange(1, 401) for _ in range(398)]),
+        star_graph(399), block_starlike(199, 2, [1] * 199),
+    ]
+
+
+_DIFFERENTIAL = {
+    "block_path": lambda: [block_path(k, p) for k in range(2, 7) for p in range(1, 26)],
+    "starlike_a": _case_a_starlike,
+    **{f"trees_s{s}": (lambda s=s: _weighted_trees(s)) for s in (0, 4, 8, 16)},
+    "cap": _cap_instances,
+}
+
+
+class TestPlacementOrderAssembly:
+    """R assembled in placement order, every cut vertex's components listed
+    in one pass, and the Perron values read from them are bit for bit the
+    block-by-block references in _util: same entries, same items, same
+    rows, so the same floats at every step."""
+
+    @pytest.mark.parametrize("family", sorted(_DIFFERENTIAL))
+    def test_matches_the_references_bit_for_bit(self, family):
+        for g in _DIFFERENTIAL[family]():
+            dec = g.decomposition
+            res, ref = spectral._resistances(g, dec), reference_resistances(g, dec)
+            # a Fortran-ordered R or support would take another BLAS path
+            assert res.flags.c_contiguous and res.tobytes() == ref.tobytes()
+            components, support, ground = dec.cut_components()
+            ref_components, ref_support, ref_ground = reference_items(g, dec)
+            assert components == ref_components
+            assert support.flags.c_contiguous and support.dtype == bool
+            assert support.shape == ref_support.shape
+            assert support.tobytes() == ref_support.tobytes()
+            assert ground.tolist() == ref_ground.tolist()
+            _, by_vertex = classify_perron(g)
+            reported = [val for v in dec.articulation_points for val in by_vertex[v].values]
+            assert reported == [pair.value for pair in perron_pairs(ref, ref_ground, ref_support)]
+
+
 class TestRouteIsolation:
     """One eigendecomposition per request; the Perron route never calls the
     eigensolver and the structural route never computes Perron values."""
@@ -588,6 +677,12 @@ class TestRouteIsolation:
         assert calls["perron_pairs"] == 1
         # hub 1 leaves 3 arms; each of the 3 other cut vertices leaves 2 parts
         assert calls["perron_rows"] == 9
+
+    def test_equal_blocks_share_one_solve_whatever_their_entry(self, calls):
+        # the unit K2 {1, 3} is entered through 1, its first vertex, and the
+        # unit K2 {2, 3} through 3, its second
+        classify_perron(build_graph(3, [(1, 3), (2, 3)]))
+        assert calls["grounded_inverse"] == 1
 
     def test_structural_route_never_computes_perron_values(self, calls):
         classify_structural(block_starlike(3, 4, [1, 1, 1]))
