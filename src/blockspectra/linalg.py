@@ -181,10 +181,11 @@ def _tridiagonal_vectors(diag, off, lams):
     norm past 1e154 cannot overflow and leave a zero "unit" vector behind,
     and one below 1e-154 cannot vanish.  Orthogonalizing is what separates
     the vectors of a multiple eigenvalue: an unreduced tridiagonal has
-    simple eigenvalues only, so a multiple one comes with a split of T.  The shift σ is λ, except that each repeat of a
-    value moves it 10 · 2**-52 ‖T‖₁ further (as LAPACK dstein does): with one
-    shared shift, rounding can make one direction of the cluster grow far
-    faster than the others, and Gram-Schmidt then leaves only noise.  Vector
+    simple eigenvalues only, so a multiple one comes with a split of T.
+    The shift σ is λ, except that each repeat of a value moves it
+    10 · 2**-52 ‖T‖₁ further (as LAPACK dstein does): with one shared
+    shift, rounding can make one direction of the cluster grow far faster
+    than the others, and Gram-Schmidt then leaves only noise.  Vector
     j starts from sin((j + 1) i), i = 1..n, so that no two starts are
     parallel, and stops once two successive iterates x have
     ‖(T - λI) x‖ ≤ 8n · 2**-52 ‖T‖₁.  The bound leaves room for the spread

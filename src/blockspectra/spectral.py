@@ -96,16 +96,18 @@ def spectral_summary(g: Graph) -> SpectralSummary:
     lambda2, which rounding can make tiny on a connected graph.
 
     Twins split L exactly (equitable partitions: Godsil & Royle, Algebraic
-    Graph Theory, 9.3).  Let V hold the indicators of the twin classes
-    (`_twin_classes`), each scaled by 1/sqrt(|T|).  The spectrum of L is
-    that of the quotient VᵀLV (`_twin_quotient`) together with each class's
-    twin eigenvalue, |T| - 1 times; the eigenvectors of a twin eigenvalue
-    are the differences across its class, and every other eigenvector is V
-    times one of the quotient's.  So `eig_sym` runs on the quotient alone,
-    and the cluster is chosen on the merged spectrum.  Each selected
-    quotient vector is lifted by V, a twin eigenvalue in the cluster
-    contributes Helmert vectors of its class (1, ..., 1, -r, 0, ...) /
-    sqrt(r (r + 1)), and the lifted basis follows `eig_sym`'s sign rule: the
+    Graph Theory, 9.3).  Let V hold the indicators of the twin classes, each
+    scaled by 1/sqrt(|T|).  The spectrum of L is that of the quotient VᵀLV
+    (`_twin_quotient`) together with each class's twin eigenvalue, |T| - 1
+    times; the eigenvectors of a twin eigenvalue are the differences across
+    its class, and every other eigenvector is V times one of the quotient's.
+    So `eig_sym` runs on the quotient alone, and the cluster is chosen on
+    the merged spectrum.  The labels (classes numbered by least member) and
+    the twin copies come from one list of the classes of two or more
+    vertices (`_twin_classes`); copy r of a class carries the r + 1 least
+    members of its Helmert vector (1, ..., 1, -r) / sqrt(r (r + 1)).  Each
+    selected quotient vector is lifted by V, each selected copy is its
+    Helmert vector, and the basis follows `eig_sym`'s sign rule: the
     largest-magnitude entry of each vector is positive, ties going to the
     lowest index, and a zero entry is +0.0.  Without twins V is the identity
     and this is `eig_sym` on L itself, bit for bit but for the sign of zero.
@@ -116,32 +118,28 @@ def spectral_summary(g: Graph) -> SpectralSummary:
             spectrum=np.zeros(1), connected=True,
         )
     connected = is_connected(g)
-    if connected and g.decomposition.all_cliques:
-        label, twin_value = _twin_classes(g)
-    else:
-        label, twin_value = np.arange(g.n), np.zeros(g.n)
+    classes = _twin_classes(g) if connected and g.decomposition.all_cliques else []
+    rep = np.arange(g.n)  # the least member of each vertex's class
+    copies = []  # (twin eigenvalue, the members of its Helmert vector) of each copy
+    for members, value in classes:
+        rep[members] = members[0]
+        copies += [(value, members[:r + 1]) for r in range(1, len(members))]
+    label = (np.cumsum(rep == np.arange(g.n)) - 1)[rep]  # classes by least member
     sizes = np.bincount(label)
     c = len(sizes)
-    twins = np.flatnonzero(sizes > 1)
-    # the twin eigenvalues, |T| - 1 copies each, and the class of each copy
-    copies = np.repeat(twin_value[twins], sizes[twins] - 1)
-    copy_class = np.repeat(twins, sizes[twins] - 1)
+    twin = np.array([value for value, _ in copies], dtype=float)
     dec = eig_sym(
         _twin_quotient(g, label, sizes),
-        select=lambda values: [i for i in _merged_cluster(values, copies)[1] if i < c],
+        select=lambda values: [i for i in _merged_cluster(values, twin)[1] if i < c],
     )
-    spectrum, chosen = _merged_cluster(dec.values, copies)
+    spectrum, chosen = _merged_cluster(dec.values, twin)
     basis = np.zeros((g.n, len(chosen)))
     lifted = [col for col, i in enumerate(chosen) if i < c]
     basis[:, lifted] = dec.vectors[label] / np.sqrt(sizes[label])[:, None]
-    by_class = np.argsort(label, kind="stable")  # each class's vertices in a run, ascending
-    starts = np.cumsum(sizes) - sizes
-    helmert = {}  # class -> Helmert vectors used so far
     for col, i in enumerate(chosen):
         if i >= c:
-            t = copy_class[i - c]
-            r = helmert[t] = helmert.get(t, 0) + 1
-            members = by_class[starts[t]:starts[t] + r + 1]
+            members = copies[i - c][1]
+            r = len(members) - 1
             basis[members[:r], col] = 1.0 / math.sqrt(r * (r + 1))
             basis[members[r], col] = -r / math.sqrt(r * (r + 1))
     lead = np.abs(basis).argmax(axis=0)
@@ -167,10 +165,11 @@ def _merged_cluster(values: np.ndarray, copies: np.ndarray) -> tuple[np.ndarray,
     return spectrum, order[_fiedler_cluster(spectrum)].tolist()
 
 
-def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The twin class of each vertex (index v - 1), classes numbered by their
-    smallest vertex, and each class's twin eigenvalue (0 for a singleton),
-    for a connected block graph g, read off its blocks in one pass.
+def _twin_classes(g: Graph) -> list[tuple[np.ndarray, float]]:
+    """Each twin class of two or more vertices of the connected block graph
+    g, as (members, twin eigenvalue), read off its blocks in one pass.
+    `members` holds the class's vertices v - 1 in ascending order, and the
+    classes are sorted by least member.
 
     Weights are compared exactly:
     * true twins are the non-cut vertices of one block whose weights to each
@@ -184,8 +183,7 @@ def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """
     dec = g.decomposition
     weight = dict(zip(g.edges, g.weights))
-    rep = np.arange(g.n)  # the smallest vertex of each vertex's class, 0-based
-    value = np.zeros(g.n)  # the twin eigenvalue of each class, at rep
+    classes = []
     hanging: dict[tuple[int, float], list[int]] = {}  # (cut vertex, weight) -> leaves
     for i, block in enumerate(dec.blocks):
         cuts = dec.articulations_in_block(i)
@@ -200,14 +198,10 @@ def _twin_classes(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         to_cuts = {tuple(weight[min(t, x), max(t, x)] for x in cuts) for t in twins}
         if len(mutual) == 1 and len(to_cuts) == 1:
             (w_t,), (row,) = mutual, to_cuts
-            rep[np.array(twins) - 1] = twins[0] - 1
-            value[twins[0] - 1] = sum(row) + len(twins) * w_t
-    for (_, w), leaves in hanging.items():
-        if len(leaves) > 1:
-            rep[leaves] = leaves[0]
-            value[leaves[0]] = w
-    reps, label = np.unique(rep, return_inverse=True)
-    return label, value[reps]
+            classes.append((np.array(twins) - 1, sum(row) + len(twins) * w_t))
+    # blocks are sorted, so each cut vertex's leaves are found in ascending order
+    classes += [(np.array(leaves), w) for (_, w), leaves in hanging.items() if len(leaves) > 1]
+    return sorted(classes, key=lambda cls: cls[0][0])
 
 
 def _twin_quotient(g: Graph, label: np.ndarray, sizes: np.ndarray) -> np.ndarray:

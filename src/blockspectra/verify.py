@@ -318,24 +318,12 @@ def check_kirkland_identities(g: Graph) -> TheoremReport:
     return rec.report()
 
 
-def _run_path_parity(inst):
-    return check_path_parity(inst["k"], inst["p"])
-
-
 def _instance_graph(inst) -> Graph:
     """The starlike graph of `r`, `k`, `arms` if arms are given, else the
     chain of `k`, `p`."""
     if "arms" in inst:
         return block_starlike(inst["r"], inst["k"], parse_arms(inst["arms"]))
     return block_path(inst["k"], inst["p"])
-
-
-def _run_twins(inst):
-    return check_twins_lemma(_instance_graph(inst))
-
-
-def _run_equal_arms(inst):
-    return check_starlike_equal_arms(inst["r"], inst["k"], inst["p"])
 
 
 def _run_starlike_a(inst):
@@ -346,21 +334,13 @@ def _run_starlike_a(inst):
     return check_starlike_case_a(inst.get("r", len(arms)), inst["k"], arms)
 
 
-def _run_coalescence(inst):
-    return check_coalescence(inst["k"], inst["p"])
-
-
-def _run_kirkland(inst):
-    return check_kirkland_identities(_instance_graph(inst))
-
-
 THEOREM_RUNNERS = {
-    "twins": _run_twins,
-    "path-parity": _run_path_parity,
-    "equal-arms": _run_equal_arms,
+    "twins": lambda inst: check_twins_lemma(_instance_graph(inst)),
+    "path-parity": lambda inst: check_path_parity(inst["k"], inst["p"]),
+    "equal-arms": lambda inst: check_starlike_equal_arms(inst["r"], inst["k"], inst["p"]),
     "starlike-A": _run_starlike_a,
-    "coalescence": _run_coalescence,
-    "kirkland": _run_kirkland,
+    "coalescence": lambda inst: check_coalescence(inst["k"], inst["p"]),
+    "kirkland": lambda inst: check_kirkland_identities(_instance_graph(inst)),
 }
 
 
@@ -442,9 +422,12 @@ def parse_grid(text: str) -> dict:
 
 def parse_arms(arms) -> list[int]:
     """Arm lengths from a comma-separated string such as "3,2,1" (empty
-    terms ignored), or from any iterable of lengths."""
+    terms ignored), from one integer, which is one arm as "2" is, or from
+    any iterable of lengths."""
     if isinstance(arms, str):
         return [int(a) for a in arms.split(",") if a != ""]
+    if isinstance(arms, int):
+        return [arms]
     return list(arms)
 
 

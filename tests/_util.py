@@ -1,13 +1,15 @@
 """Shared test helpers: independent oracles and random-graph builders."""
 
 import heapq
+import itertools
+import math
 from collections import deque
 
 import networkx as nx
 import numpy as np
 
 from blockspectra import Graph, build_graph, coalesce, complete_graph, spectral
-from blockspectra.linalg import grounded_inverse, laplacian
+from blockspectra.linalg import eig_sym, grounded_inverse, laplacian
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -176,3 +178,74 @@ def random_weighted_clique_tree(rng, s) -> Graph:
     for k in sizes[1:]:
         g = coalesce(g, rng.randint(1, g.n), complete_graph(k), 1)
     return build_graph(g.n, g.edges, {e: 10 ** rng.uniform(-s, s) for e in g.edges})
+
+
+def reference_twin_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The twin class of each vertex (index v - 1), classes numbered by their
+    smallest vertex, and each class's twin eigenvalue (0 for a singleton),
+    marked vertex by vertex and relabeled by `np.unique`: the reference the
+    class list of `spectral._twin_classes` is checked against."""
+    dec = g.decomposition
+    weight = dict(zip(g.edges, g.weights))
+    rep = np.arange(g.n)  # the smallest vertex of each vertex's class, 0-based
+    value = np.zeros(g.n)  # the twin eigenvalue of each class, at rep
+    hanging = {}  # (cut vertex, weight) -> leaves
+    for i, block in enumerate(dec.blocks):
+        cuts = dec.articulations_in_block(i)
+        if len(block) == 2 and len(cuts) == 1:
+            (a,) = cuts
+            leaf = block[1] if block[0] == a else block[0]
+            hanging.setdefault((a, weight[block]), []).append(leaf - 1)
+        if len(block) - len(cuts) < 2:
+            continue
+        twins = [v for v in block if v not in cuts]
+        mutual = {weight[e] for e in itertools.combinations(twins, 2)}
+        to_cuts = {tuple(weight[min(t, x), max(t, x)] for x in cuts) for t in twins}
+        if len(mutual) == 1 and len(to_cuts) == 1:
+            (w_t,), (row,) = mutual, to_cuts
+            rep[np.array(twins) - 1] = twins[0] - 1
+            value[twins[0] - 1] = sum(row) + len(twins) * w_t
+    for (_, w), leaves in hanging.items():
+        if len(leaves) > 1:
+            rep[leaves] = leaves[0]
+            value[leaves[0]] = w
+    reps, label = np.unique(rep, return_inverse=True)
+    return label, value[reps]
+
+
+def reference_summary(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(spectrum, Fiedler basis) of a connected g from the labels of
+    `reference_twin_labels`, each twin copy's class found by index arrays
+    and its Helmert vector counted in a dict: the reference
+    `spectral_summary` is checked against bit for bit."""
+    if g.decomposition.all_cliques:
+        label, twin_value = reference_twin_labels(g)
+    else:
+        label, twin_value = np.arange(g.n), np.zeros(g.n)
+    sizes = np.bincount(label)
+    c = len(sizes)
+    twins = np.flatnonzero(sizes > 1)
+    copies = np.repeat(twin_value[twins], sizes[twins] - 1)
+    copy_class = np.repeat(twins, sizes[twins] - 1)
+    dec = eig_sym(
+        spectral._twin_quotient(g, label, sizes),
+        select=lambda values: [i for i in spectral._merged_cluster(values, copies)[1] if i < c],
+    )
+    spectrum, chosen = spectral._merged_cluster(dec.values, copies)
+    basis = np.zeros((g.n, len(chosen)))
+    lifted = [col for col, i in enumerate(chosen) if i < c]
+    basis[:, lifted] = dec.vectors[label] / np.sqrt(sizes[label])[:, None]
+    by_class = np.argsort(label, kind="stable")  # each class's vertices in a run, ascending
+    starts = np.cumsum(sizes) - sizes
+    helmert = {}  # class -> Helmert vectors used so far
+    for col, i in enumerate(chosen):
+        if i >= c:
+            t = copy_class[i - c]
+            r = helmert[t] = helmert.get(t, 0) + 1
+            members = by_class[starts[t]:starts[t] + r + 1]
+            basis[members[:r], col] = 1.0 / math.sqrt(r * (r + 1))
+            basis[members[r], col] = -r / math.sqrt(r * (r + 1))
+    lead = np.abs(basis).argmax(axis=0)
+    basis[:, basis[lead, np.arange(len(chosen))] < 0] *= -1.0
+    basis += 0.0
+    return spectrum, basis

@@ -586,6 +586,18 @@ class TestVerify:
             (1, 0, 0), (2, 1, 0), (2, 1, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2),
         }
 
+    def test_sweep_over_integer_arms_skips(self, capsys):
+        # each grid point's arms is one integer, one arm: a skip, not a TypeError
+        code, out, err = run(capsys, "verify", "--theorem", "starlike-A",
+                             "--sweep", "k=3,arms=2..3", "--csv")
+        assert code == 0
+        assert err == "# 0 pass, 0 fail, 2 skip, 0 error\n"
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["instance"], r["status"], r["failures"]) for r in rows] == [
+            ("arms=2,k=3", "skip", "arm count must be >= 2, got 1"),
+            ("arms=3,k=3", "skip", "arm count must be >= 2, got 1"),
+        ]
+
     @pytest.mark.parametrize("grid", ["", " ", "k=2,k=3,p=1"])
     def test_vacuous_or_repeated_sweep_rejected(self, capsys, grid):
         # an empty grid would pass having run no instance; a repeated name

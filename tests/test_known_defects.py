@@ -142,6 +142,36 @@ def test_stress_tree_286_at_span_16(capsys, monkeypatch, method):
     _case_a_or_exit_3(code, err, outcomes, method, mixed_block=(2, 4))
 
 
+# two weights 1e300 apart, each case A; the Perron route answers both.  mpmath
+# at 700 digits: the first has lambda2 = 1.5e-300 and y ~ (-0.816, 0.408,
+# 0.408), mixed block (1, 2); the second lambda2 = 0.7192 and y ~ (-0.726,
+# -0.204, 0.465, 0.465), mixed block (2, 3).  Beside eps |L| either lambda2
+# is rounding, which the structural route should report with exit 3.
+@pytest.mark.parametrize("method", [
+    pytest.param("structural", marks=_xfail(
+        "ROADMAP J: lambda2 = 1.5e-300 is below the rounding of the zero "
+        "eigenvalue, and rounding exits 3 only once J lands; today exit 2, "
+        "the zero vertex not unique: candidates []")),
+    "perron",
+])
+def test_weak_edge_1e300_times_below_the_other(capsys, monkeypatch, method):
+    code, err, outcomes = _classify(capsys, monkeypatch, "3 2\n1 2 1e-300\n2 3\n", method)
+    _case_a_or_exit_3(code, err, outcomes, method, mixed_block=(1, 2))
+
+
+@pytest.mark.parametrize("method", [
+    pytest.param("structural", marks=_xfail(
+        "ROADMAP J: lambda2 = 0.72 beside |L| = 2e300 is rounding, and "
+        "rounding exits 3 only once J lands; today exit 2, block (2, 3) "
+        "neither sign-pure nor all-zero")),
+    "perron",
+])
+def test_strong_edge_1e300_times_above_the_others(capsys, monkeypatch, method):
+    text = "4 3\n1 2\n2 3\n3 4 1e300\n"
+    code, err, outcomes = _classify(capsys, monkeypatch, text, method)
+    _case_a_or_exit_3(code, err, outcomes, method, mixed_block=(2, 3))
+
+
 @pytest.mark.parametrize("index", [40, 65])
 @pytest.mark.parametrize("method", ["structural", "perron"])
 def test_stress_tree_at_span_4_scaled_by_two_to_the_500(capsys, monkeypatch, method, index):

@@ -41,6 +41,8 @@ from _util import (
     random_weighted_clique_tree,
     reference_items,
     reference_resistances,
+    reference_summary,
+    reference_twin_labels,
 )
 
 
@@ -587,9 +589,9 @@ def _case_a_starlike():
     return [block_starlike(3, k, list(arms)) for k in range(2, 7) for arms in triples]
 
 
-def _weighted_trees(s):
+def _weighted_trees(s, count=40):
     rng = random.Random(1000 + s)
-    return [random_weighted_clique_tree(rng, s) for _ in range(40)]
+    return [random_weighted_clique_tree(rng, s) for _ in range(count)]
 
 
 def _cap_instances():
@@ -852,3 +854,49 @@ class TestTwinQuotient:
         assert main(["classify", str(path), "--method", "both"]) == 0
         capsys.readouterr()
         assert eig_rows == [10]  # 19 vertices
+
+
+_TWIN_FAMILIES = {
+    "parity_grid": lambda: [block_path(k, p) for k in range(2, 7) for p in range(1, 42)],
+    "equal_arms": lambda: [block_starlike(r, k, [p] * r) for r, k, p in
+                           itertools.product(range(3, 7), range(2, 5), range(1, 4))],
+    "unit_trees": lambda: _weighted_trees(0, 300),
+    "leaves_by_weight": lambda: [
+        build_graph(6, [(1, v) for v in range(2, 7)], {(1, 5): 3.0, (1, 6): 3.0})],
+    "star": lambda: [star_graph(399)],
+    # hubs 1 and 2 bound by weight 1e10, two unit leaves each: lambda2 = 1 - 1e-10
+    # from the quotient shares its cluster with both leaf classes' twin copies
+    "two_classes_in_one_cluster": lambda: [
+        build_graph(6, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)], {(1, 2): 1e10})],
+    "complete": lambda: [complete_graph(6)],
+    "twin_free_trees": lambda: _weighted_trees(4, 20),
+}
+
+
+class TestTwinClassList:
+    """The class list of `_twin_classes` gives the labels, the twin copies
+    and the Helmert columns of the index-array lift kept in _util, bit for
+    bit.  `array_equal` takes -0.0 for 0.0, so the signs are compared too;
+    a Helmert column swapped between two classes spans the same eigenspace
+    and passes every projector test, but not this one."""
+
+    @pytest.mark.parametrize("family", sorted(_TWIN_FAMILIES))
+    def test_lift_matches_the_reference_bit_for_bit(self, family):
+        for g in _TWIN_FAMILIES[family]():
+            s = spectral_summary(g)
+            spectrum, basis = reference_summary(g)
+            assert np.array_equal(s.spectrum, spectrum)
+            assert np.array_equal(np.signbit(s.spectrum), np.signbit(spectrum))
+            assert np.array_equal(s.fiedler_basis, basis)
+            assert np.array_equal(np.signbit(s.fiedler_basis), np.signbit(basis))
+
+    @pytest.mark.parametrize("family", sorted(_TWIN_FAMILIES))
+    def test_classes_are_the_reference_labels(self, family):
+        for g in _TWIN_FAMILIES[family]():
+            label, value = reference_twin_labels(g)
+            sizes = np.bincount(label)
+            expected = [(np.flatnonzero(label == t).tolist(), value[t])
+                        for t in np.flatnonzero(sizes > 1)]
+            classes = spectral._twin_classes(g)
+            assert [(m.tolist(), v) for m, v in classes] == expected
+            assert all(m.dtype.kind == "i" for m, _ in classes)

@@ -353,6 +353,19 @@ class TestSweep:
         assert report.status == "pass"
         assert report.instance == instance
 
+    @pytest.mark.parametrize("theorem, instance, failure", [
+        ("starlike-A", {"k": 3, "arms": 2}, "arm count must be >= 2, got 1"),
+        ("starlike-A", {"k": 3, "arms": 3}, "arm count must be >= 2, got 1"),
+        ("twins", {"r": 3, "k": 3, "arms": 2}, "expected 3 arm lengths, got 1"),
+        ("kirkland", {"r": 3, "k": 3, "arms": 2}, "expected 3 arm lengths, got 1"),
+    ])
+    def test_integer_arms_is_one_arm(self, theorem, instance, failure):
+        # a sweep term gives arms as an integer, read as "--arms 2" is
+        report = run_theorem(theorem, instance)
+        assert report.status == "skip"
+        assert report.failures == (failure,)
+        assert report.instance == instance
+
     def test_run_theorem_missing_parameter(self):
         with pytest.raises(ValueError, match="^theorem 'path-parity' needs parameter 'p'$"):
             run_theorem("path-parity", {"k": 4})
@@ -404,6 +417,7 @@ class TestGridParsing:
         assert parse_arms("3,2,1") == [3, 2, 1]
         assert parse_arms("3,,1,") == [3, 1]  # empty terms are ignored
         assert parse_arms((2, 1)) == [2, 1]
+        assert parse_arms(2) == parse_arms("2") == [2]  # a sweep gives an integer
         with pytest.raises(ValueError):
             parse_arms("3,x")
 
