@@ -43,8 +43,7 @@ POWER_MAX_ITER = 50_000
 
 class ConvergenceError(RuntimeError):
     """A numerical breakdown: an iteration hit its cap or reached a
-    non-finite value, a block pivot was not finite, or a Perron vector
-    entry fell below 0 by more than rounding."""
+    non-finite value, or a block pivot was not finite."""
 
 
 class EigenDecomposition(NamedTuple):
@@ -329,11 +328,7 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     components.  A row that stops leaves the block, so later steps cost
     less.  Raises ConvergenceError after POWER_MAX_ITER steps, naming the
     first item still running, or at the first step where some row's Rayleigh
-    quotient is not finite (`res` overflowed), naming that item.  After the
-    loop it raises for the first item whose Perron vector, B x at the step
-    its row stopped scaled to sum 1, has an entry on C below -8 · 2**-52,
-    more than rounding leaves (`res` is then no resistance array, some
-    entry of B being negative).
+    quotient is not finite (`res` overflowed), naming that item.
 
     Returns one PerronData per item, in item order: its Perron value and the
     steps its row took.  No vector is kept.
@@ -353,7 +348,6 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
     live = np.arange(items)  # the item of each row of x
     value = np.full(items, math.inf)
     values, iterations = np.empty(items), np.empty(items, dtype=int)
-    positive = np.empty(items, dtype=bool)
     step = 0
     while live.size:
         if step == cap:
@@ -382,12 +376,9 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
             )
         done = np.abs(rq - value) < tol * rq
         if done.any():
-            out, bx = live[done], y[done]
+            out = live[done]
             values[out] = rq[done]
             iterations[out] = step
-            bx /= bx.sum(axis=1)[:, None]  # a negative sum flips the sign
-            # rounding leaves a vanishing entry of a sum-1 vector a few ulps below 0
-            positive[out] = ((bx > -8 * 2.0 ** -52) | ~support[out]).all(axis=1)
             keep = np.flatnonzero(~done)
             live, at, fold = live[keep], at[keep], fold[keep]
             y, rq = y[keep], rq[keep]
@@ -395,13 +386,6 @@ def perron_pairs(res: np.ndarray, ground, support: np.ndarray) -> list[PerronDat
         value = rq
         y /= np.sqrt(_row_dots(y, y))[:, None]
         x = y
-    if not positive.all():
-        j = int(positive.argmin())
-        raise ConvergenceError(
-            f"dominant eigenvector of the component of {sizes[j]} vertices at cut "
-            f"vertex {ground[j] + 1} is not strictly positive; the input is not a "
-            "resistance array"
-        )
     return [PerronData(value=val, iterations=it)
             for val, it in zip(np.ldexp(values, e).tolist(), iterations.tolist())]
 

@@ -9,6 +9,7 @@ import networkx as nx
 import numpy as np
 
 from blockspectra import Graph, build_graph, coalesce, complete_graph, spectral
+from blockspectra.graph import DESK_SCALE_LIMIT
 from blockspectra.linalg import eig_sym, grounded_inverse, laplacian
 
 
@@ -178,6 +179,22 @@ def random_weighted_clique_tree(rng, s) -> Graph:
     for k in sizes[1:]:
         g = coalesce(g, rng.randint(1, g.n), complete_graph(k), 1)
     return build_graph(g.n, g.edges, {e: 10 ** rng.uniform(-s, s) for e in g.edges})
+
+
+def random_weighted_cap_tree(rng, s) -> Graph:
+    """A clique tree grown up to the 400-vertex cap: cliques of 2 to 6
+    vertices, each glued at a uniform vertex, until the next would pass
+    DESK_SCALE_LIMIT vertices, with weights 10**U(-s, s) in sorted edge
+    order, drawn from the `random.Random` rng in a fixed order.  Clique k's
+    new vertices are numbered n + 1 ... n + k - 1, as `coalesce` numbers
+    them, but the edge list is built in one pass."""
+    n = rng.randint(2, 6)
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    while n + (k := rng.randint(2, 6)) - 1 <= DESK_SCALE_LIMIT:
+        edges += itertools.combinations([rng.randint(1, n), *range(n + 1, n + k)], 2)
+        n += k - 1
+    edges.sort()
+    return build_graph(n, edges, {e: 10 ** rng.uniform(-s, s) for e in edges})
 
 
 def reference_twin_labels(g: Graph) -> tuple[np.ndarray, np.ndarray]:

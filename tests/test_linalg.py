@@ -404,23 +404,6 @@ class TestPerronPairs:
         # last diagonal entry of 1, smallest eigenvalue 12 sin^2(pi / 14)
         assert data.values[1] == pytest.approx(1 / (12 * math.sin(math.pi / 14) ** 2), rel=1e-14)
 
-    def test_negative_bottleneck_entry_rejected(self):
-        # R_12 = 10 > R_10 + R_02 = 3 breaks the triangle inequality, so the
-        # matrix grounded at vertex 0 on {1, 2} is [[1, -3.5], [-3.5, 2]],
-        # whose dominant eigenvector has both signs
-        res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
-        with pytest.raises(ConvergenceError, match="not strictly positive"):
-            perron_pairs(res, [0], np.array([[False, True, True]]))
-
-    def test_first_item_that_is_not_positive_is_named(self):
-        # item 0, {0} grounded at 1, is [[R_01]] = [[1]]: positive; item 1 is
-        # the matrix above, and the error names it, not the first item
-        res = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 10.0], [2.0, 10.0, 0.0]])
-        support = np.array([[True, False, False], [False, True, True]])
-        with pytest.raises(ConvergenceError, match="component of 2 vertices at cut vertex 1 "
-                           "is not strictly positive"):
-            perron_pairs(res, [1, 0], support)
-
     def test_non_finite_value_fails_at_once(self):
         # 2 R_34 overflows in the second item's B x, while the first item
         # stays finite; on inf or nan the cap would take 50 000 steps.  R_12

@@ -38,6 +38,7 @@ from _util import (
     clique_tree,
     delete_vertex_components,
     prufer_tree,
+    random_weighted_cap_tree,
     random_weighted_clique_tree,
     reference_items,
     reference_resistances,
@@ -450,6 +451,20 @@ def _outcomes(g, back):
     return perron, structural
 
 
+def _scaled(g, k):
+    """g with every weight multiplied by 2**k."""
+    return build_graph(g.n, g.edges, {e: math.ldexp(w, k) for e, w in zip(g.edges, g.weights)})
+
+
+def _relabeled(g, perms):
+    """g under a permutation drawn from the `random.Random` perms, and the map
+    from each new label back to the old one."""
+    new = dict(zip(g.vertices(), perms.sample(range(1, g.n + 1), g.n)))
+    relabeled = build_graph(g.n, [(new[u], new[v]) for u, v in g.edges], {
+        (new[u], new[v]): w for (u, v), w in zip(g.edges, g.weights)})
+    return relabeled, {y: x for x, y in new.items()}
+
+
 @pytest.mark.parametrize("s", [0, 2, 4, 8])
 def test_outcomes_survive_relabeling_and_power_of_two_scaling(s):
     # ROADMAP Q: a verdict belongs to the weighted graph, not to its labels
@@ -463,18 +478,26 @@ def test_outcomes_survive_relabeling_and_power_of_two_scaling(s):
         identity = {x: x for x in g.vertices()}
         perron, structural = _outcomes(g, identity)
         for k in (200, -200):
-            scaled = build_graph(g.n, g.edges, {
-                e: math.ldexp(w, k) for e, w in zip(g.edges, g.weights)})
-            assert _outcomes(scaled, identity) == (perron, structural)
+            assert _outcomes(_scaled(g, k), identity) == (perron, structural)
         structurals = [structural]
         for _ in range(3):
-            new = dict(zip(g.vertices(), perms.sample(range(1, g.n + 1), g.n)))
-            relabeled = build_graph(g.n, [(new[u], new[v]) for u, v in g.edges], {
-                (new[u], new[v]): w for (u, v), w in zip(g.edges, g.weights)})
-            moved_perron, moved = _outcomes(relabeled, {y: x for x, y in new.items()})
+            moved_perron, moved = _outcomes(*_relabeled(g, perms))
             assert moved_perron == perron
             structurals.append(moved)
         assert len({frozenset(o) for o in structurals if isinstance(o, set)}) <= 1
+
+
+def test_perron_verdict_at_the_cap_survives_relabeling_and_power_of_two_scaling():
+    # ROADMAP Q at the 400-vertex cap, through the Perron route: tree 6 of
+    # random_weighted_cap_tree(random.Random(5008), 8), case A with least
+    # tie margin 0.56
+    trees = random.Random(5008)
+    for _ in range(6):
+        random_weighted_cap_tree(trees, 8)
+    g = random_weighted_cap_tree(trees, 8)
+    perms = random.Random(7)
+    for h in [g, _scaled(g, 200), _scaled(g, -200), *(_relabeled(g, perms)[0] for _ in range(2))]:
+        assert classify_perron(h)[0].verdict == "A"
 
 
 @st.composite
